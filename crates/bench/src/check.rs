@@ -330,8 +330,8 @@ const TELEMETRY_GATE_TRIALS: usize = 3;
 
 /// Instrumented throughput must stay at or above this fraction of the
 /// uninstrumented run's: the strided timing sink (one `Instant` read per
-/// success-check window plus one striped histogram record) is allowed at
-/// most 3%.
+/// 16-claim window plus one striped histogram record) is allowed at most
+/// 3% on this hogwild run.
 pub const TELEMETRY_OVERHEAD_FLOOR: f64 = 0.97;
 
 /// Judges the measured overhead ratio; split out of the measurement so the

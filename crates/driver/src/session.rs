@@ -458,8 +458,8 @@ pub struct RunHandle {
 }
 
 impl RunHandle {
-    /// Requests cancellation. Executors honour the flag within one
-    /// success-check stride (simulated backends: one engine step); the run
+    /// Requests cancellation. Native executors honour the flag within one
+    /// 16-claim stride per worker (simulated backends: one engine step); the run
     /// then finishes with `stop: Some("cancelled")` and partial iterations.
     /// Idempotent; racing a natural finish is harmless.
     pub fn cancel(&self) {

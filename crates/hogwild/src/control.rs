@@ -1,12 +1,14 @@
 //! Cross-thread run control shared by all native executors.
 //!
 //! Native runs are *jobs* from the driver's point of view: they must be
-//! cancellable while in flight and observable at a bounded cost. Both
-//! facilities ride the executors' existing success-check stride
-//! ([`crate::ExecTuning::success_check_stride`]): every worker checks the
-//! stop flag and (when installed) samples metrics whenever its claim index
-//! is a stride multiple, so cancellation latency and observation overhead
-//! are bounded by the stride regardless of the model dimension.
+//! cancellable while in flight and observable at a bounded cost. One
+//! [`RunControl`] carries the hooks, and the claim-loop kernel
+//! ([`crate::claim`]) fires them identically for all four executors: every
+//! worker checks the stop flag and feeds the step-timing sink whenever its
+//! global claim index is a multiple of [`crate::claim::STRIDE`], and
+//! samples metrics at the sink's own stride. Cancellation latency and
+//! observation overhead are therefore bounded by the stride regardless of
+//! the model dimension.
 
 use crate::snapshot::ServeHook;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,10 +20,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub type MetricsFn<'a> = &'a (dyn Fn(u64, f64) + Sync);
 
 /// A metrics callback with its own firing stride: the sink fires on every
-/// claim index that is a multiple of `stride`, independent of the
-/// success-check stride, so callers get samples exactly where they asked for
-/// them (and single-threaded runs sample at identical indices across
-/// executors).
+/// claim index that is a multiple of `stride`, independent of the kernel's
+/// stride, so callers get samples exactly where they asked for them (and
+/// single-threaded runs sample at identical indices across executors).
 #[derive(Clone, Copy)]
 pub struct MetricsSink<'a> {
     /// Claim-index stride between samples (clamped to ≥ 1).
@@ -50,13 +51,17 @@ impl std::fmt::Debug for MetricsSink<'_> {
 /// `(claim index, elapsed_ns, steps)` — the wall time and the number of
 /// updates this worker applied since its previous firing. `elapsed_ns /
 /// steps` is the worker's amortised per-step latency over the interval.
+/// Besides the strided claims, a worker fires at the claim that finds its
+/// budget (an epoch's, for the epoch executors) exhausted, so the `steps`
+/// of all firings sum to the steps the run applied.
 pub type TimingFn<'a> = &'a (dyn Fn(u64, u64, u64) + Sync);
 
-/// A step-timing callback riding the executors' success-check stride: each
-/// worker reads one `Instant` per stride window (never per claim), so the
-/// hot path stays O(Δ) and the cost is bounded by the stride exactly like
-/// cancellation. Used by the driver to feed the
-/// `asgd_hogwild_step_ns` telemetry histogram.
+/// A step-timing callback riding the kernel's [`STRIDE`](crate::claim::STRIDE):
+/// each worker reads one `Instant` per stride window (never per claim) and
+/// one when its budget runs out, so the hot path stays O(Δ) and the cost is
+/// bounded by the stride exactly like cancellation. Used by the driver to
+/// feed the `asgd_hogwild_step_ns` telemetry histogram for every native
+/// executor.
 #[derive(Clone, Copy)]
 pub struct TimingSink<'a> {
     /// The sink.
@@ -77,13 +82,14 @@ impl std::fmt::Debug for TimingSink<'_> {
 /// cannot perturb a run's trajectory.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RunControl<'a> {
-    /// Cooperative stop flag. Checked at the success-check stride in every
-    /// claim loop; once it reads `true`, workers stop claiming and the run
+    /// Cooperative stop flag. Checked every [`STRIDE`](crate::claim::STRIDE)
+    /// claims; once it reads `true`, workers stop claiming and the run
     /// returns early with its report marked cancelled.
     pub stop: Option<&'a AtomicBool>,
     /// Strided metrics callback.
     pub metrics: Option<MetricsSink<'a>>,
-    /// Strided step-timing callback (fires at the success-check stride).
+    /// Strided step-timing callback (fires every
+    /// [`STRIDE`](crate::claim::STRIDE) claims and when a budget runs out).
     pub timing: Option<TimingSink<'a>>,
     /// Serving attachment: the executor exposes a
     /// [`ModelReader`](crate::snapshot::ModelReader) through the hook before
@@ -120,14 +126,6 @@ impl RunControl<'_> {
             (t.f)(claim, elapsed_ns, steps);
         }
     }
-
-    /// True if either hook is installed (workers then need view scratch for
-    /// strided sampling even on the sparse path). The timing sink is not
-    /// included: it never reads the model, so it needs no scratch.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.stop.is_some() || self.metrics.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +136,6 @@ mod tests {
     fn default_control_is_inert() {
         let ctrl = RunControl::default();
         assert!(!ctrl.is_stopped());
-        assert!(!ctrl.is_active());
         assert!(!ctrl.metrics_at(0));
         ctrl.emit_metrics(0, 1.0); // no sink: no-op
         assert!(format!("{ctrl:?}").contains("stop: None"));
@@ -152,7 +149,6 @@ mod tests {
             ..RunControl::default()
         };
         assert!(!ctrl.is_stopped());
-        assert!(ctrl.is_active());
         flag.store(true, Ordering::Relaxed);
         assert!(ctrl.is_stopped());
     }
@@ -185,8 +181,6 @@ mod tests {
             timing: Some(TimingSink { f: record }),
             ..RunControl::default()
         };
-        // Timing alone must not force view scratch on the sparse path.
-        assert!(!ctrl.is_active());
         ctrl.emit_timing(128, 64_000, 128);
         ctrl.emit_timing(256, 60_000, 128);
         assert_eq!(total_ns.load(Ordering::Relaxed), 124_000);

@@ -7,14 +7,14 @@
 //! final epoch's threads publish their locally accumulated updates into.
 //! The result is `r = snapshot + Σᵢ Acc[i]` (Algorithm 2, line 9).
 
+use crate::claim::{Apply, Budget, EpochGate, Kernel};
 use crate::control::RunControl;
 use crate::shard::{ParamStore, StoreWriter};
-use crate::tuning::{dense_scratch, ExecTuning};
-use asgd_math::rng::SeedSequence;
-use asgd_oracle::{apply_dense_chunk, GradientOracle, SparseGrad};
+use crate::tuning::ExecTuning;
+use asgd_oracle::GradientOracle;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicU64;
+use std::time::Duration;
 
 /// Configuration of a native Algorithm-2 run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +63,6 @@ pub struct NativeFullSgd<O> {
     tuning: ExecTuning,
 }
 
-const GUARD_UNINIT: u64 = 0;
-const GUARD_BUSY: u64 = 1;
-const GUARD_READY: u64 = 2;
-
 impl<O: GradientOracle> NativeFullSgd<O> {
     /// Creates the executor with default [`ExecTuning`].
     ///
@@ -104,9 +100,9 @@ impl<O: GradientOracle> NativeFullSgd<O> {
         self.run_controlled(x0, RunControl::default())
     }
 
-    /// Like [`NativeFullSgd::run`], with a [`RunControl`] for cancellation
-    /// and strided metrics (claim indices in the callback are global across
-    /// epochs; dist² is measured on the current epoch's model).
+    /// Like [`NativeFullSgd::run`], with a [`RunControl`] for cancellation,
+    /// strided metrics and step timing (claim indices in the callbacks are
+    /// global across epochs; dist² is measured on the current epoch's model).
     ///
     /// # Panics
     ///
@@ -132,9 +128,7 @@ impl<O: GradientOracle> NativeFullSgd<O> {
         let snapshot = ParamStore::zeros_with_tuning(d, &self.tuning);
         let acc = ParamStore::zeros_with_tuning(d, &self.tuning);
         let counters: Vec<AtomicU64> = (0..total_epochs).map(|_| AtomicU64::new(0)).collect();
-        let guards: Vec<AtomicU64> = (0..total_epochs)
-            .map(|e| AtomicU64::new(if e == 0 { GUARD_READY } else { GUARD_UNINIT }))
-            .collect();
+        let gates = EpochGate::chain(total_epochs);
         // Epoch 0 of a single-epoch run starts from x₀; pre-fill the
         // snapshot accordingly (no init race writes it in that case).
         if total_epochs == 1 {
@@ -142,164 +136,54 @@ impl<O: GradientOracle> NativeFullSgd<O> {
                 snapshot.write(j, v);
             }
         }
-        let seeds = SeedSequence::new(self.cfg.seed);
-        let use_sparse = self.tuning.sparse.use_sparse(d, self.oracle.max_support());
-        let stride = self.tuning.stride();
-        let minimizer = self.oracle.minimizer();
-        let grad_cap = self.oracle.max_support().unwrap_or(1);
-        let interrupted = AtomicBool::new(false);
-        let executed = AtomicU64::new(0);
-
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for tid in 0..self.cfg.threads {
-                let models = &models;
-                let snapshot = &snapshot;
-                let acc = &acc;
-                let counters = &counters;
-                let guards = &guards;
-                let interrupted = &interrupted;
-                let executed = &executed;
-                let oracle = &self.oracle;
-                let cfg = self.cfg;
-                let mut rng = seeds.child_rng(tid as u64);
-                let pin = self.tuning.pin;
-                scope.spawn(move || {
-                    if pin {
-                        let _ = crate::pin::pin_current_thread(tid);
-                    }
-                    // O(d) scratch exists only on the dense path; the sparse
-                    // path streams its metrics samples and keeps its final-
-                    // epoch accumulator sparse (asserted by `dense_scratch`).
-                    let mut view = dense_scratch(d, use_sparse, !use_sparse);
-                    let mut grad = dense_scratch(d, use_sparse, !use_sparse);
-                    let mut local_acc = dense_scratch(d, use_sparse, !use_sparse);
-                    let mut sgrad = SparseGrad::with_capacity(grad_cap);
-                    let mut sparse_acc: BTreeMap<usize, f64> = BTreeMap::new();
-                    let mut done = 0u64;
-                    let mut stopped = false;
-                    for epoch in 0..total_epochs {
-                        let is_final = epoch + 1 == total_epochs;
-                        // Epoch initialisation protocol.
-                        if epoch > 0 {
-                            match guards[epoch].compare_exchange(
-                                GUARD_UNINIT,
-                                GUARD_BUSY,
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                            ) {
-                                Ok(_) => {
-                                    // Winner: copy predecessor (late epoch-
-                                    // (e−1) writes after this copy are
-                                    // dropped — the guard semantics).
-                                    for j in 0..d {
-                                        let v = models[epoch - 1].read(j);
-                                        models[epoch].write(j, v);
-                                        if is_final {
-                                            snapshot.write(j, v);
-                                        }
-                                    }
-                                    guards[epoch].store(GUARD_READY, Ordering::SeqCst);
-                                }
-                                Err(_) => {
-                                    while guards[epoch].load(Ordering::SeqCst) != GUARD_READY {
-                                        std::hint::spin_loop();
-                                    }
-                                }
-                            }
-                        }
-                        // EpochSGD on this epoch's model.
-                        let alpha = cfg.alpha0 / (1u64 << epoch.min(63)) as f64;
-                        let model = &models[epoch];
-                        // Batched shard-counter accounting for this epoch's
-                        // store; flushes on drop at epoch end.
-                        let mut writer = StoreWriter::new(model);
+        let kernel = Kernel::new(&self.oracle, &self.tuning, ctrl);
+        let use_sparse = kernel.use_sparse();
+        let joined = kernel.spawn(self.cfg.threads, self.cfg.seed, |worker| {
+            for (epoch, model) in models.iter().enumerate() {
+                let is_final = epoch + 1 == total_epochs;
+                gates[epoch].pass(|| {
+                    // Winner: copy the predecessor (late epoch-(e−1) writes
+                    // after this copy are dropped — the guard semantics).
+                    for j in 0..d {
+                        let v = models[epoch - 1].read(j);
+                        model.write(j, v);
                         if is_final {
-                            local_acc.fill(0.0);
-                            sparse_acc.clear();
-                        }
-                        loop {
-                            let claim = counters[epoch].fetch_add(1, Ordering::SeqCst);
-                            if claim >= cfg.epoch_iterations {
-                                break;
-                            }
-                            let global_claim = epoch as u64 * cfg.epoch_iterations + claim;
-                            if global_claim.is_multiple_of(stride) && ctrl.is_stopped() {
-                                interrupted.store(true, Ordering::SeqCst);
-                                stopped = true;
-                                break;
-                            }
-                            if use_sparse {
-                                // O(Δ): per-entry reads of the gradient's
-                                // support, no full view materialisation —
-                                // the strided metrics sample streams too.
-                                if ctrl.metrics_at(global_claim) {
-                                    ctrl.emit_metrics(global_claim, model.dist_sq_to(minimizer));
-                                }
-                                oracle.sample_gradient_sparse(model, &mut rng, &mut sgrad);
-                                for &(j, gj) in sgrad.entries() {
-                                    if gj != 0.0 {
-                                        let delta = -alpha * gj;
-                                        writer.fetch_add(j, delta);
-                                        if is_final {
-                                            *sparse_acc.entry(j).or_insert(0.0) += delta;
-                                        }
-                                    }
-                                }
-                            } else {
-                                model.read_view(&mut view);
-                                if ctrl.metrics_at(global_claim) {
-                                    ctrl.emit_metrics(
-                                        global_claim,
-                                        asgd_math::vec::l2_dist_sq(&view, minimizer),
-                                    );
-                                }
-                                oracle.sample_gradient(&view, &mut rng, &mut grad);
-                                apply_dense_chunk(&grad, -alpha, |j, delta| {
-                                    writer.fetch_add(j, delta);
-                                    if is_final {
-                                        local_acc[j] += delta;
-                                    }
-                                });
-                            }
-                            done += 1;
-                        }
-                        if is_final {
-                            // Both accumulators publish in ascending index
-                            // order, skipping entries that net to zero —
-                            // identical `Acc` arithmetic on either path
-                            // (`BTreeMap` iterates keys ascending).
-                            for (j, &a) in local_acc.iter().enumerate() {
-                                if a != 0.0 {
-                                    acc.fetch_add(j, a);
-                                }
-                            }
-                            for (&j, &a) in &sparse_acc {
-                                if a != 0.0 {
-                                    acc.fetch_add(j, a);
-                                }
-                            }
-                        }
-                        if stopped {
-                            break;
+                            snapshot.write(j, v);
                         }
                     }
-                    executed.fetch_add(done, Ordering::SeqCst);
                 });
+                // EpochSGD on this epoch's model; the final epoch also sums
+                // this worker's updates for `Acc`.
+                let mut local = is_final.then(|| LocalAcc::new(use_sparse, d));
+                let budget = Budget {
+                    counter: &counters[epoch],
+                    limit: self.cfg.epoch_iterations,
+                    offset: epoch as u64 * self.cfg.epoch_iterations,
+                };
+                let alpha = self.cfg.alpha0 / (1u64 << epoch.min(63)) as f64;
+                let policy = EpochApply {
+                    writer: StoreWriter::new(model),
+                    local: local.as_mut(),
+                };
+                let finished = worker.claims(&budget, alpha, policy);
+                if let Some(local) = &local {
+                    local.publish(&acc);
+                }
+                if !finished {
+                    break;
+                }
             }
         });
-        let elapsed = start.elapsed();
 
-        let cancelled = interrupted.load(Ordering::SeqCst);
         // A run cancelled before the final epoch was initialised has an
         // untouched (all-zero) snapshot/Acc/final-model; report the deepest
         // *live* epoch's model instead, so cancelled reports always describe
         // real partial progress.
         let live_epoch = (0..total_epochs)
             .rev()
-            .find(|&e| guards[e].load(Ordering::SeqCst) == GUARD_READY)
+            .find(|&e| gates[e].is_ready())
             .unwrap_or(0);
-        let (r, final_model) = if cancelled && live_epoch + 1 < total_epochs {
+        let (r, final_model) = if joined.cancelled && live_epoch + 1 < total_epochs {
             let live = models[live_epoch].snapshot();
             (live.clone(), live)
         } else {
@@ -313,11 +197,72 @@ impl<O: GradientOracle> NativeFullSgd<O> {
             r,
             final_model,
             dist_to_opt,
-            elapsed,
+            elapsed: joined.elapsed,
             epochs: total_epochs,
-            iterations: executed.load(Ordering::SeqCst),
+            iterations: joined.per_thread.iter().sum(),
             used_sparse: use_sparse,
-            cancelled,
+            cancelled: joined.cancelled,
+        }
+    }
+}
+
+/// A worker's final-epoch update sum: dense on the dense path, keyed by
+/// index on the O(Δ) path, which materialises no O(d) vector.
+enum LocalAcc {
+    Dense(Vec<f64>),
+    Sparse(BTreeMap<usize, f64>),
+}
+
+impl LocalAcc {
+    fn new(use_sparse: bool, d: usize) -> Self {
+        if use_sparse {
+            Self::Sparse(BTreeMap::new())
+        } else {
+            Self::Dense(vec![0.0; d])
+        }
+    }
+
+    fn add(&mut self, j: usize, delta: f64) {
+        match self {
+            Self::Dense(sum) => sum[j] += delta,
+            Self::Sparse(sum) => *sum.entry(j).or_insert(0.0) += delta,
+        }
+    }
+
+    /// Adds the sum into `acc` in ascending index order, skipping entries
+    /// that net to zero — identical `Acc` arithmetic on either path
+    /// (`BTreeMap` iterates keys ascending).
+    fn publish(&self, acc: &ParamStore) {
+        let add = |j: usize, a: f64| {
+            if a != 0.0 {
+                acc.fetch_add(j, a);
+            }
+        };
+        match self {
+            Self::Dense(sum) => sum.iter().enumerate().for_each(|(j, &a)| add(j, a)),
+            Self::Sparse(sum) => sum.iter().for_each(|(&j, &a)| add(j, a)),
+        }
+    }
+}
+
+/// The epoch-store apply policy: `fetch&add` into the epoch's store and, in
+/// the final epoch, into the worker's local sum as well.
+struct EpochApply<'a> {
+    writer: StoreWriter<'a>,
+    local: Option<&'a mut LocalAcc>,
+}
+
+impl Apply for EpochApply<'_> {
+    type Model = ParamStore;
+
+    fn model(&self) -> &ParamStore {
+        self.writer.model()
+    }
+
+    fn add(&mut self, j: usize, delta: f64) {
+        self.writer.add(j, delta);
+        if let Some(local) = &mut self.local {
+            local.add(j, delta);
         }
     }
 }

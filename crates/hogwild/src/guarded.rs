@@ -10,11 +10,12 @@
 //! sanctioned mechanism (distinct model per epoch, full `f64`), and this
 //! type exists to demonstrate and test the guard semantics at the op level.
 
+use crate::claim::{Apply, Budget, EpochGate, Kernel, Scan};
 use crate::control::RunControl;
 use crate::shard::{ShardRouter, ShardedVec};
-use crate::tuning::{dense_scratch, ExecTuning};
-use asgd_oracle::{ModelView, SparseGrad};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::tuning::ExecTuning;
+use asgd_oracle::ModelView;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Error returned when an update is rejected because its epoch tag does not
 /// match the entry's current epoch.
@@ -101,25 +102,6 @@ impl GuardedModel {
     #[must_use]
     pub fn read(&self, j: usize) -> (u32, f32) {
         unpack(self.entries.get(j).load(Ordering::SeqCst))
-    }
-
-    /// Streaming `‖X − y‖²` over the widened `f32` values, accumulated in
-    /// index order — identical arithmetic to `l2_dist_sq` over a widened
-    /// view scan, with no O(d) scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != d`.
-    #[must_use]
-    pub fn dist_sq_to(&self, y: &[f64]) -> f64 {
-        assert_eq!(y.len(), self.dimension(), "dist_sq_to dimension mismatch");
-        y.iter()
-            .enumerate()
-            .map(|(j, &b)| {
-                let a = f64::from(self.read(j).1);
-                (a - b) * (a - b)
-            })
-            .sum()
     }
 
     /// Epoch-guarded `fetch&add`: adds `delta` to entry `j` **only if** the
@@ -212,6 +194,9 @@ impl ModelView for GuardedModel {
     }
 }
 
+/// Whole-model reads through the widening per-entry reads above.
+impl Scan for GuardedModel {}
+
 /// Configuration of a [`GuardedEpochSgd`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardedEpochSgdConfig {
@@ -246,7 +231,7 @@ pub struct GuardedEpochSgdReport {
     pub stale_rejected: u64,
     /// Smallest global claim index whose view was inside the success region,
     /// if tracking was enabled and any view qualified (sampled every
-    /// [`ExecTuning::success_check_stride`] claims on the sparse path).
+    /// [`STRIDE`](crate::claim::STRIDE) claims on the sparse path).
     pub first_success_claim: Option<u64>,
     /// Wall-clock duration of the parallel section.
     pub elapsed: std::time::Duration,
@@ -272,7 +257,7 @@ pub struct GuardedEpochSgd<O> {
 
 impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
     /// Creates the executor with default [`ExecTuning`] (the guard packs its
-    /// own words, so only the sparse-path knobs apply here).
+    /// own words, so the layout and ordering knobs do not apply here).
     ///
     /// # Panics
     ///
@@ -291,8 +276,8 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
         }
     }
 
-    /// Overrides the execution tuning (sparse policy and check stride; the
-    /// layout/ordering knobs do not apply to the packed guard words).
+    /// Overrides the execution tuning (sparse policy, sharding and pinning;
+    /// the layout/ordering knobs do not apply to the packed guard words).
     #[must_use]
     pub fn tuning(mut self, tuning: ExecTuning) -> Self {
         self.tuning = tuning;
@@ -309,9 +294,9 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
         self.run_controlled(x0, RunControl::default())
     }
 
-    /// Like [`GuardedEpochSgd::run`], with a [`RunControl`] for cancellation
-    /// and strided metrics (claim indices in the callback are global across
-    /// epochs).
+    /// Like [`GuardedEpochSgd::run`], with a [`RunControl`] for cancellation,
+    /// strided metrics and step timing (claim indices in the callbacks are
+    /// global across epochs).
     ///
     /// # Panics
     ///
@@ -323,156 +308,45 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
         let epochs = self.cfg.halving_epochs + 1;
         let base = self.cfg.iterations / epochs as u64;
         let rem = (self.cfg.iterations % epochs as u64) as usize;
-        // Budgets sum to exactly `iterations`; early epochs absorb the
-        // remainder.
-        let budgets: Vec<u64> = (0..epochs).map(|e| base + u64::from(e < rem)).collect();
-        let offsets: Vec<u64> = budgets
-            .iter()
-            .scan(0u64, |acc, b| {
-                let off = *acc;
-                *acc += b;
-                Some(off)
-            })
-            .collect();
-
         let model = GuardedModel::with_shards(x0, self.tuning.shards.resolve(d).unwrap_or(1));
         let counters: Vec<AtomicU64> = (0..epochs).map(|_| AtomicU64::new(0)).collect();
-        // advance[e] guards the transition into epoch e (0 = pending,
-        // 1 = advancing, 2 = done); epoch 0 needs no transition.
-        let advance: Vec<AtomicU64> = (0..epochs)
-            .map(|e| AtomicU64::new(if e == 0 { 2 } else { 0 }))
+        // Budgets sum to exactly `iterations`; early epochs absorb the
+        // remainder.
+        let budgets: Vec<Budget<'_>> = counters
+            .iter()
+            .enumerate()
+            .map(|(e, counter)| Budget {
+                counter,
+                limit: base + u64::from(e < rem),
+                offset: e as u64 * base + e.min(rem) as u64,
+            })
             .collect();
+        let gates = EpochGate::chain(epochs);
         let stale = AtomicU64::new(0);
-        let first_success = AtomicU64::new(u64::MAX);
-        let interrupted = AtomicBool::new(false);
-        let executed = AtomicU64::new(0);
-        let seeds = asgd_math::rng::SeedSequence::new(self.cfg.seed);
-        let use_sparse = self.tuning.sparse.use_sparse(d, self.oracle.max_support());
-        let stride = self.tuning.stride();
-        let grad_cap = self.oracle.max_support().unwrap_or(1);
-        // Loop-invariant: resolve the minimizer virtual call once.
-        let minimizer = self.oracle.minimizer();
-
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for tid in 0..self.cfg.threads {
-                let model = &model;
-                let counters = &counters;
-                let advance = &advance;
-                let stale = &stale;
-                let first_success = &first_success;
-                let interrupted = &interrupted;
-                let executed = &executed;
-                let budgets = &budgets;
-                let offsets = &offsets;
-                let oracle = &self.oracle;
-                let cfg = self.cfg;
-                let mut rng = seeds.child_rng(tid as u64);
-                let pin = self.tuning.pin;
-                scope.spawn(move || {
-                    if pin {
-                        let _ = crate::pin::pin_current_thread(tid);
+        let mut kernel = Kernel::new(&self.oracle, &self.tuning, ctrl);
+        kernel.success_radius_sq = self.cfg.success_radius_sq;
+        let joined = kernel.spawn(self.cfg.threads, self.cfg.seed, |worker| {
+            for (epoch, (budget, gate)) in budgets.iter().zip(&gates).enumerate() {
+                // Transition protocol: one worker advances every entry's
+                // epoch tag, the rest wait until it is done.
+                gate.pass(|| {
+                    for j in 0..d {
+                        model
+                            .advance_epoch(j, epoch as u32 - 1, epoch as u32)
+                            .expect("single winner advances each entry once");
                     }
-                    let mut view = dense_scratch(d, use_sparse, !use_sparse);
-                    let mut grad = dense_scratch(d, use_sparse, !use_sparse);
-                    let mut sgrad = SparseGrad::with_capacity(grad_cap);
-                    let mut done = 0u64;
-                    'epochs: for epoch in 0..epochs {
-                        // Transition protocol: one thread advances every
-                        // entry's epoch tag, the rest wait until done.
-                        match advance[epoch].compare_exchange(
-                            0,
-                            1,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        ) {
-                            Ok(_) => {
-                                for j in 0..d {
-                                    model
-                                        .advance_epoch(j, epoch as u32 - 1, epoch as u32)
-                                        .expect("single winner advances each entry once");
-                                }
-                                advance[epoch].store(2, Ordering::SeqCst);
-                            }
-                            Err(state) => {
-                                if state != 2 {
-                                    while advance[epoch].load(Ordering::SeqCst) != 2 {
-                                        std::hint::spin_loop();
-                                    }
-                                }
-                            }
-                        }
-                        let alpha = cfg.alpha0 / (1u64 << epoch.min(63)) as f64;
-                        loop {
-                            let claim = counters[epoch].fetch_add(1, Ordering::SeqCst);
-                            if claim >= budgets[epoch] {
-                                break;
-                            }
-                            let global_claim = offsets[epoch] + claim;
-                            if global_claim.is_multiple_of(stride) && ctrl.is_stopped() {
-                                interrupted.store(true, Ordering::SeqCst);
-                                break 'epochs;
-                            }
-                            if use_sparse {
-                                // O(Δ) path: sampled success check/metrics,
-                                // per-entry reads of just the support.
-                                let at_success = cfg.success_radius_sq.is_some()
-                                    && global_claim.is_multiple_of(stride);
-                                let at_metrics = ctrl.metrics_at(global_claim);
-                                if at_success || at_metrics {
-                                    // Streaming per-entry distance — no O(d)
-                                    // scratch on the sparse path.
-                                    let dist_sq = model.dist_sq_to(minimizer);
-                                    if at_success
-                                        && cfg.success_radius_sq.is_some_and(|eps| dist_sq <= eps)
-                                    {
-                                        first_success.fetch_min(global_claim, Ordering::SeqCst);
-                                    }
-                                    if at_metrics {
-                                        ctrl.emit_metrics(global_claim, dist_sq);
-                                    }
-                                }
-                                oracle.sample_gradient_sparse(model, &mut rng, &mut sgrad);
-                                for &(j, gj) in sgrad.entries() {
-                                    if gj != 0.0 {
-                                        let delta = (-alpha * gj) as f32;
-                                        if model.guarded_add(j, epoch as u32, delta).is_err() {
-                                            stale.fetch_add(1, Ordering::SeqCst);
-                                        }
-                                    }
-                                }
-                            } else {
-                                for (j, v) in view.iter_mut().enumerate() {
-                                    *v = f64::from(model.read(j).1);
-                                }
-                                let at_metrics = ctrl.metrics_at(global_claim);
-                                if cfg.success_radius_sq.is_some() || at_metrics {
-                                    let dist_sq = asgd_math::vec::l2_dist_sq(&view, minimizer);
-                                    if cfg.success_radius_sq.is_some_and(|eps| dist_sq <= eps) {
-                                        first_success.fetch_min(global_claim, Ordering::SeqCst);
-                                    }
-                                    if at_metrics {
-                                        ctrl.emit_metrics(global_claim, dist_sq);
-                                    }
-                                }
-                                oracle.sample_gradient(&view, &mut rng, &mut grad);
-                                for (j, &gj) in grad.iter().enumerate() {
-                                    if gj != 0.0 {
-                                        let delta = (-alpha * gj) as f32;
-                                        if model.guarded_add(j, epoch as u32, delta).is_err() {
-                                            stale.fetch_add(1, Ordering::SeqCst);
-                                        }
-                                    }
-                                }
-                            }
-                            done += 1;
-                        }
-                    }
-                    executed.fetch_add(done, Ordering::SeqCst);
                 });
+                let alpha = self.cfg.alpha0 / (1u64 << epoch.min(63)) as f64;
+                let policy = Guard {
+                    model: &model,
+                    epoch: epoch as u32,
+                    stale: &stale,
+                };
+                if !worker.claims(budget, alpha, policy) {
+                    break;
+                }
             }
         });
-        let elapsed = start.elapsed();
 
         let final_model: Vec<f64> = model
             .snapshot_values()
@@ -480,17 +354,39 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
             .map(|&v| f64::from(v))
             .collect();
         let final_dist_sq = asgd_math::vec::l2_dist_sq(&final_model, self.oracle.minimizer());
-        let hit = first_success.load(Ordering::SeqCst);
         GuardedEpochSgdReport {
             final_model,
             final_dist_sq,
-            iterations: executed.load(Ordering::SeqCst),
+            iterations: joined.per_thread.iter().sum(),
             epochs,
             stale_rejected: stale.load(Ordering::SeqCst),
-            first_success_claim: (hit != u64::MAX).then_some(hit),
-            elapsed,
-            used_sparse: use_sparse,
-            cancelled: interrupted.load(Ordering::SeqCst),
+            first_success_claim: joined.first_success,
+            elapsed: joined.elapsed,
+            used_sparse: kernel.use_sparse(),
+            cancelled: joined.cancelled,
+        }
+    }
+}
+
+/// The guarded apply policy: every entry update is an epoch-checked CAS of
+/// the `f32`-narrowed delta, and an update whose entry has already moved to
+/// a later epoch is dropped and counted.
+struct Guard<'a> {
+    model: &'a GuardedModel,
+    epoch: u32,
+    stale: &'a AtomicU64,
+}
+
+impl Apply for Guard<'_> {
+    type Model = GuardedModel;
+
+    fn model(&self) -> &GuardedModel {
+        self.model
+    }
+
+    fn add(&mut self, j: usize, delta: f64) {
+        if self.model.guarded_add(j, self.epoch, delta as f32).is_err() {
+            self.stale.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
@@ -666,34 +562,6 @@ mod tests {
             "dist² {}",
             sparse.final_dist_sq
         );
-    }
-
-    #[test]
-    fn stop_flag_cancels_across_epochs_without_deadlock() {
-        use std::sync::atomic::AtomicBool;
-        let oracle = Arc::new(asgd_oracle::NoisyQuadratic::new(2, 0.1).unwrap());
-        let flag = AtomicBool::new(true);
-        let report = GuardedEpochSgd::new(
-            oracle,
-            GuardedEpochSgdConfig {
-                threads: 4,
-                iterations: u64::MAX / 8,
-                alpha0: 0.01,
-                halving_epochs: 3,
-                seed: 2,
-                success_radius_sq: None,
-            },
-        )
-        .run_controlled(
-            &[1.0, 1.0],
-            RunControl {
-                stop: Some(&flag),
-                ..RunControl::default()
-            },
-        );
-        assert!(report.cancelled);
-        let stride = ExecTuning::default().stride();
-        assert!(report.iterations <= 4 * stride, "{}", report.iterations);
     }
 
     #[test]

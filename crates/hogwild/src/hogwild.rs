@@ -1,14 +1,14 @@
 //! The native lock-free executor — Algorithm 1 on OS threads.
 
+use crate::claim::{Budget, Kernel};
 use crate::control::RunControl;
 use crate::shard::{ParamStore, StoreWriter};
 use crate::snapshot::{ModelReader, SnapshotCell};
-use crate::tuning::{dense_scratch, ExecTuning};
-use asgd_math::rng::SeedSequence;
-use asgd_oracle::{apply_dense_chunk, GradientOracle, SparseGrad};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::tuning::ExecTuning;
+use asgd_oracle::GradientOracle;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a native Hogwild run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,15 +40,16 @@ pub struct HogwildReport {
     pub per_thread_iterations: Vec<u64>,
     /// Smallest claim index whose view was inside the success region, if
     /// tracking was enabled and any view qualified. On the sparse path the
-    /// check is *sampled* (every [`ExecTuning::success_check_stride`]
-    /// claims), so this is an upper bound on the first qualifying claim.
+    /// check is *sampled* (every [`STRIDE`](crate::claim::STRIDE) claims),
+    /// so this is an upper bound on the first qualifying claim.
     pub first_success_claim: Option<u64>,
     /// Wall-clock duration of the parallel section.
     pub elapsed: Duration,
     /// Whether the run took the O(Δ) sparse gradient path.
     pub used_sparse: bool,
     /// Whether the run was ended early by [`RunControl::stop`] (workers stop
-    /// within one success-check stride of the flag being raised).
+    /// within one [`STRIDE`](crate::claim::STRIDE) of the flag being
+    /// raised).
     pub cancelled: bool,
 }
 
@@ -121,10 +122,10 @@ impl<O: GradientOracle> Hogwild<O> {
         self.run_controlled(x0, RunControl::default())
     }
 
-    /// Like [`Hogwild::run`], with a [`RunControl`] for cancellation and
-    /// strided metrics. Both hooks fire when a claim index is a multiple of
-    /// [`ExecTuning::success_check_stride`], so their cost and the
-    /// cancellation latency are bounded regardless of `d`.
+    /// Like [`Hogwild::run`], with a [`RunControl`] for cancellation,
+    /// strided metrics and step timing. The stop check and the timing sink
+    /// fire every [`STRIDE`](crate::claim::STRIDE) claims, so their cost and
+    /// the cancellation latency are bounded regardless of `d`.
     ///
     /// # Panics
     ///
@@ -141,6 +142,8 @@ impl<O: GradientOracle> Hogwild<O> {
         let counter = Arc::new(AtomicU64::new(0));
         // Snapshot storage, only when a serving hook is attached.
         let cell = ctrl.serve.map(|_| Arc::new(SnapshotCell::new(d)));
+        let mut kernel = Kernel::new(&self.oracle, &self.tuning, ctrl);
+        kernel.success_radius_sq = self.cfg.success_radius_sq;
         if let (Some(hook), Some(cell)) = (ctrl.serve, &cell) {
             hook.attach(ModelReader::new(
                 Arc::clone(&model),
@@ -148,186 +151,20 @@ impl<O: GradientOracle> Hogwild<O> {
                 Arc::clone(&counter),
                 self.cfg.iterations,
             ));
+            kernel.publish = Some((hook, cell, &model));
         }
-        let first_success = AtomicU64::new(u64::MAX);
-        let interrupted = AtomicBool::new(false);
-        let seeds = SeedSequence::new(self.cfg.seed);
-        let mut per_thread = vec![0u64; self.cfg.threads];
-        let use_sparse = self.tuning.sparse.use_sparse(d, self.oracle.max_support());
-        let stride = self.tuning.stride();
-        // The minimizer slice and the gradient capacity are loop-invariant;
-        // resolve the virtual calls once, outside the claim loop.
-        let minimizer = self.oracle.minimizer();
-        let grad_cap = self.oracle.max_support().unwrap_or(1);
-
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.cfg.threads)
-                .map(|tid| {
-                    let model = &*model;
-                    let counter = &*counter;
-                    let cell = cell.as_deref();
-                    let first_success = &first_success;
-                    let interrupted = &interrupted;
-                    let oracle = &self.oracle;
-                    let cfg = self.cfg;
-                    let mut rng = seeds.child_rng(tid as u64);
-                    let pin = self.tuning.pin;
-                    scope.spawn(move || {
-                        if pin {
-                            let _ = crate::pin::pin_current_thread(tid);
-                        }
-                        let mut done = 0u64;
-                        // Step-timing state: one Instant read per stride
-                        // window (never per claim), so the sink costs the
-                        // same O(1)-per-stride as the stop check.
-                        let timing_on = ctrl.timing.is_some();
-                        let mut last_tick = Instant::now();
-                        let mut last_done = 0u64;
-                        // Batched shard-counter accounting: one RMW per
-                        // COUNTER_FLUSH updates instead of one per entry.
-                        let mut writer = StoreWriter::new(model);
-                        if use_sparse {
-                            let mut grad = SparseGrad::with_capacity(grad_cap);
-                            loop {
-                                let claim = counter.fetch_add(1, Ordering::SeqCst);
-                                if claim >= cfg.iterations {
-                                    return done;
-                                }
-                                if claim.is_multiple_of(stride) {
-                                    if ctrl.is_stopped() {
-                                        interrupted.store(true, Ordering::SeqCst);
-                                        return done;
-                                    }
-                                    if timing_on && done > last_done {
-                                        let now = Instant::now();
-                                        let ns = now.duration_since(last_tick).as_nanos();
-                                        ctrl.emit_timing(
-                                            claim,
-                                            ns.min(u128::from(u64::MAX)) as u64,
-                                            done - last_done,
-                                        );
-                                        last_tick = now;
-                                        last_done = done;
-                                    }
-                                }
-                                if let (Some(hook), Some(cell)) = (ctrl.serve, cell) {
-                                    if hook.publishes_at(claim) {
-                                        // Tag with the global claim counter at copy
-                                        // start (not this worker's own claim index,
-                                        // which can be arbitrarily stale if the
-                                        // worker was descheduled after claiming).
-                                        // Single-threaded, the two coincide: x_claim
-                                        // exactly.
-                                        let progress = (counter.load(Ordering::SeqCst) - 1)
-                                            .min(cfg.iterations);
-                                        // Notify inside the publish critical
-                                        // section: versions reach the listener
-                                        // in strictly increasing order.
-                                        let _ =
-                                            cell.try_publish_notify(model, progress, |v, tag| {
-                                                hook.notify_published(v, tag)
-                                            });
-                                    }
-                                }
-                                let at_success =
-                                    cfg.success_radius_sq.is_some() && claim.is_multiple_of(stride);
-                                let at_metrics = ctrl.metrics_at(claim);
-                                if at_success || at_metrics {
-                                    // Streaming per-entry distance: identical
-                                    // read order and arithmetic to a view scan
-                                    // + `l2_dist_sq`, with no O(d) scratch.
-                                    let dist_sq = model.dist_sq_to(minimizer);
-                                    if at_success
-                                        && cfg.success_radius_sq.is_some_and(|eps| dist_sq <= eps)
-                                    {
-                                        first_success.fetch_min(claim, Ordering::SeqCst);
-                                    }
-                                    if at_metrics {
-                                        ctrl.emit_metrics(claim, dist_sq);
-                                    }
-                                }
-                                oracle.sample_gradient_sparse(model, &mut rng, &mut grad);
-                                for &(j, gj) in grad.entries() {
-                                    if gj != 0.0 {
-                                        writer.fetch_add(j, -cfg.alpha * gj);
-                                    }
-                                }
-                                done += 1;
-                            }
-                        } else {
-                            let mut view = dense_scratch(d, use_sparse, true);
-                            let mut grad = dense_scratch(d, use_sparse, true);
-                            loop {
-                                let claim = counter.fetch_add(1, Ordering::SeqCst);
-                                if claim >= cfg.iterations {
-                                    return done;
-                                }
-                                if claim.is_multiple_of(stride) {
-                                    if ctrl.is_stopped() {
-                                        interrupted.store(true, Ordering::SeqCst);
-                                        return done;
-                                    }
-                                    if timing_on && done > last_done {
-                                        let now = Instant::now();
-                                        let ns = now.duration_since(last_tick).as_nanos();
-                                        ctrl.emit_timing(
-                                            claim,
-                                            ns.min(u128::from(u64::MAX)) as u64,
-                                            done - last_done,
-                                        );
-                                        last_tick = now;
-                                        last_done = done;
-                                    }
-                                }
-                                if let (Some(hook), Some(cell)) = (ctrl.serve, cell) {
-                                    if hook.publishes_at(claim) {
-                                        // See the sparse loop: counter-based tag,
-                                        // exact for one thread.
-                                        let progress = (counter.load(Ordering::SeqCst) - 1)
-                                            .min(cfg.iterations);
-                                        // Notify inside the publish critical
-                                        // section: versions reach the listener
-                                        // in strictly increasing order.
-                                        let _ =
-                                            cell.try_publish_notify(model, progress, |v, tag| {
-                                                hook.notify_published(v, tag)
-                                            });
-                                    }
-                                }
-                                model.read_view(&mut view);
-                                let at_metrics = ctrl.metrics_at(claim);
-                                if cfg.success_radius_sq.is_some() || at_metrics {
-                                    let dist_sq = asgd_math::vec::l2_dist_sq(&view, minimizer);
-                                    if let Some(eps) = cfg.success_radius_sq {
-                                        if dist_sq <= eps {
-                                            first_success.fetch_min(claim, Ordering::SeqCst);
-                                        }
-                                    }
-                                    if at_metrics {
-                                        ctrl.emit_metrics(claim, dist_sq);
-                                    }
-                                }
-                                oracle.sample_gradient(&view, &mut rng, &mut grad);
-                                // Chunked delta computation; same products,
-                                // same order, same skip-zero contract as the
-                                // scalar loop (bit-identical).
-                                apply_dense_chunk(&grad, -cfg.alpha, |j, delta| {
-                                    writer.fetch_add(j, delta);
-                                });
-                                done += 1;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for (tid, h) in handles.into_iter().enumerate() {
-                per_thread[tid] = h.join().expect("worker thread panicked");
-            }
+        let budget = Budget {
+            counter: &counter,
+            limit: self.cfg.iterations,
+            offset: 0,
+        };
+        let joined = kernel.spawn(self.cfg.threads, self.cfg.seed, |worker| {
+            // Batched shard-counter accounting: one RMW per COUNTER_FLUSH
+            // updates instead of one per entry.
+            worker.claims(&budget, self.cfg.alpha, StoreWriter::new(&model));
         });
-        let elapsed = start.elapsed();
 
-        let executed: u64 = per_thread.iter().sum();
+        let executed: u64 = joined.per_thread.iter().sum();
         // Publish the quiescent final state (also on cancellation): the last
         // snapshot a reader sees always reflects the reported final model.
         // The cell keeps tags monotone, so a cancelled run whose last
@@ -340,16 +177,15 @@ impl<O: GradientOracle> Hogwild<O> {
         }
         let final_model = model.snapshot();
         let final_dist_sq = asgd_math::vec::l2_dist_sq(&final_model, self.oracle.minimizer());
-        let hit = first_success.load(Ordering::SeqCst);
         HogwildReport {
             final_model,
             final_dist_sq,
             iterations: executed,
-            per_thread_iterations: per_thread,
-            first_success_claim: (hit != u64::MAX).then_some(hit),
-            elapsed,
-            used_sparse: use_sparse,
-            cancelled: interrupted.load(Ordering::SeqCst),
+            per_thread_iterations: joined.per_thread,
+            first_success_claim: joined.first_success,
+            elapsed: joined.elapsed,
+            used_sparse: kernel.use_sparse(),
+            cancelled: joined.cancelled,
         }
     }
 }
@@ -532,128 +368,6 @@ mod tests {
         assert_eq!(report.per_thread_iterations, vec![64]);
         // Single-threaded noiseless run is exactly (1−α)^T.
         assert!((report.final_model[0] - 0.9_f64.powi(64)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pre_raised_stop_flag_cancels_within_one_stride() {
-        use std::sync::atomic::AtomicBool;
-        let oracle = Arc::new(NoisyQuadratic::new(2, 0.1).unwrap());
-        let flag = AtomicBool::new(true);
-        let report = Hogwild::new(
-            oracle,
-            HogwildConfig {
-                threads: 4,
-                iterations: u64::MAX / 2, // effectively unbounded
-                alpha: 0.01,
-                seed: 1,
-                success_radius_sq: None,
-            },
-        )
-        .run_controlled(
-            &[1.0, 1.0],
-            RunControl {
-                stop: Some(&flag),
-                ..RunControl::default()
-            },
-        );
-        assert!(report.cancelled);
-        let stride = ExecTuning::default().stride();
-        assert!(
-            report.iterations <= 4 * stride,
-            "each worker stops within one stride: {} claims",
-            report.iterations
-        );
-    }
-
-    #[test]
-    fn metrics_callback_fires_at_stride_multiples_on_both_paths() {
-        use crate::tuning::SparsePolicy;
-        use std::sync::Mutex;
-        let oracle = Arc::new(SparseQuadratic::uniform(16, 1.0, 0.0).unwrap());
-        for sparse in [SparsePolicy::ForceDense, SparsePolicy::ForceSparse] {
-            let samples: Mutex<Vec<(u64, f64)>> = Mutex::new(Vec::new());
-            let sink = |claim: u64, dist_sq: f64| {
-                samples.lock().unwrap().push((claim, dist_sq));
-            };
-            let report = Hogwild::new(
-                Arc::clone(&oracle),
-                HogwildConfig {
-                    threads: 2,
-                    iterations: 200,
-                    alpha: 0.01,
-                    seed: 5,
-                    success_radius_sq: None,
-                },
-            )
-            .tuning(ExecTuning {
-                sparse,
-                ..ExecTuning::default()
-            })
-            .run_controlled(
-                &[1.0; 16],
-                RunControl {
-                    metrics: Some(crate::control::MetricsSink {
-                        stride: 50,
-                        f: &sink,
-                    }),
-                    ..RunControl::default()
-                },
-            );
-            assert!(!report.cancelled);
-            let got = samples.into_inner().unwrap();
-            let mut claims: Vec<u64> = got.iter().map(|&(c, _)| c).collect();
-            claims.sort_unstable();
-            assert_eq!(claims, vec![0, 50, 100, 150], "{sparse:?}");
-            assert!(got.iter().all(|&(_, d)| d.is_finite() && d >= 0.0));
-        }
-    }
-
-    #[test]
-    fn timing_sink_accounts_for_every_step_on_both_paths() {
-        use crate::tuning::SparsePolicy;
-        use std::sync::atomic::AtomicU64;
-        let oracle = Arc::new(SparseQuadratic::uniform(16, 1.0, 0.0).unwrap());
-        for sparse in [SparsePolicy::ForceDense, SparsePolicy::ForceSparse] {
-            let observed_steps = AtomicU64::new(0);
-            let observed_ns = AtomicU64::new(0);
-            let sink = |_claim: u64, ns: u64, steps: u64| {
-                observed_ns.fetch_add(ns, Ordering::Relaxed);
-                observed_steps.fetch_add(steps, Ordering::Relaxed);
-            };
-            let iterations = 10_000;
-            let report = Hogwild::new(
-                Arc::clone(&oracle),
-                HogwildConfig {
-                    threads: 2,
-                    iterations,
-                    alpha: 0.01,
-                    seed: 5,
-                    success_radius_sq: None,
-                },
-            )
-            .tuning(ExecTuning {
-                sparse,
-                ..ExecTuning::default()
-            })
-            .run_controlled(
-                &[1.0; 16],
-                RunControl {
-                    timing: Some(crate::control::TimingSink { f: &sink }),
-                    ..RunControl::default()
-                },
-            );
-            assert_eq!(report.iterations, iterations);
-            let steps = observed_steps.load(Ordering::Relaxed);
-            // Each worker's last partial stride window is never flushed, so
-            // the sink sees all but at most (threads × stride) steps.
-            let stride = ExecTuning::default().stride();
-            assert!(
-                steps >= iterations.saturating_sub(2 * stride),
-                "{sparse:?}: observed only {steps} of {iterations} steps"
-            );
-            assert!(steps <= iterations);
-            assert!(observed_ns.load(Ordering::Relaxed) > 0, "{sparse:?}");
-        }
     }
 
     #[test]

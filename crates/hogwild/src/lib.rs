@@ -10,20 +10,23 @@
 //!   relaxed variants);
 //! * [`model`] — the shared parameter vector, with compact or cache-line-
 //!   padded layouts and a paper-faithful-vs-relaxed ordering knob;
-//! * [`shard`] — the topology-aware sharded parameter store: contiguous
-//!   index ranges routed (shift-and-mask, or exact ranges for ragged
-//!   dimensions) to per-shard arenas with per-shard update counters, and
-//!   [`ParamStore`], the flat-or-sharded enum every native claim loop
-//!   actually holds;
+//! * [`shard`] — the topology-aware sharded parameter store: power-of-two
+//!   index chunks routed shift-and-mask to per-shard arenas with per-shard
+//!   update counters, and [`ParamStore`], the flat-or-sharded enum the
+//!   claim loop actually holds;
 //! * [`pin`] — best-effort worker-to-core pinning (enabled by
 //!   `ExecTuning::pin`);
-//! * [`tuning`] — [`ExecTuning`]: the layout/ordering/sparse-path knobs
-//!   every native executor accepts; Δ-sparse oracles get an O(Δ) hot loop
-//!   instead of the O(d) dense scan;
-//! * [`control`] — [`RunControl`]: a cooperative stop flag and a strided
-//!   metrics sink threaded into every executor's claim loop (the
-//!   `run_controlled` entry points), with cancellation latency bounded by
-//!   the success-check stride;
+//! * [`tuning`] — [`ExecTuning`]: the layout/ordering/sparse-path/sharding/
+//!   pinning knobs every native executor accepts; Δ-sparse oracles get an
+//!   O(Δ) hot loop instead of the O(d) dense scan;
+//! * [`claim`] — the claim-loop kernel all four executors run: worker
+//!   spawn (coin streams, pinning, join) and the one loop that claims
+//!   against a budget, fires the strided hooks every [`claim::STRIDE`]
+//!   claims, and takes a gradient step through the executor's apply policy;
+//! * [`control`] — [`RunControl`]: a cooperative stop flag, a strided
+//!   metrics sink and a step-timing sink the kernel fires for every
+//!   executor (the `run_controlled` entry points), with cancellation
+//!   latency bounded by [`claim::STRIDE`];
 //! * [`snapshot`] — model serving attachments: epoch-versioned
 //!   double-buffered snapshot publication ([`SnapshotCell`]) and cloneable
 //!   [`ModelReader`] handles (live per-entry reads racing the trainers +
@@ -74,6 +77,7 @@
 #![warn(missing_docs)]
 
 pub mod atomic;
+pub mod claim;
 pub mod control;
 pub mod full_sgd;
 pub mod guarded;

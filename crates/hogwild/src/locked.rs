@@ -8,13 +8,14 @@
 //! comparison point for the `speedup` experiment and the
 //! `hogwild_scaling` bench.
 
+use crate::claim::{Budget, Dense, Kernel, Sparse, Step};
 use crate::control::RunControl;
 use crate::tuning::ExecTuning;
-use asgd_math::rng::SeedSequence;
-use asgd_oracle::{GradientOracle, SparseGrad};
+use asgd_oracle::GradientOracle;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use rand::rngs::StdRng;
+use std::sync::atomic::AtomicU64;
+use std::time::Duration;
 
 /// Outcome of a locked-baseline run.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +59,8 @@ pub struct LockedSgd<O> {
 
 impl<O: GradientOracle> LockedSgd<O> {
     /// Creates the executor with default [`ExecTuning`] (only the sparse
-    /// knob applies — the model lives under one mutex, so layout/ordering
-    /// are moot).
+    /// and pin knobs apply — the model lives under one mutex, so layout,
+    /// ordering and sharding are moot).
     ///
     /// # Panics
     ///
@@ -95,109 +96,82 @@ impl<O: GradientOracle> LockedSgd<O> {
         self.run_controlled(x0, RunControl::default())
     }
 
-    /// Like [`LockedSgd::run`], with a [`RunControl`] for cancellation and
-    /// strided metrics (dist² computed under a brief model lock).
+    /// Like [`LockedSgd::run`], with a [`RunControl`] for cancellation,
+    /// strided metrics (dist² computed under a brief model lock) and step
+    /// timing.
     ///
     /// # Panics
     ///
     /// Panics if `x0`'s dimension differs from the oracle's.
     #[must_use]
     pub fn run_controlled(&self, x0: &[f64], ctrl: RunControl<'_>) -> LockedSgdReport {
-        let d = self.oracle.dimension();
-        assert_eq!(x0.len(), d, "x0 dimension mismatch");
+        assert_eq!(x0.len(), self.oracle.dimension(), "x0 dimension mismatch");
         let model = Mutex::new(x0.to_vec());
         let counter = AtomicU64::new(0);
-        let executed = AtomicU64::new(0);
-        let interrupted = AtomicBool::new(false);
-        let seeds = SeedSequence::new(self.seed);
-        let use_sparse = self.tuning.sparse.use_sparse(d, self.oracle.max_support());
-        let stride = self.tuning.stride();
-        let minimizer = self.oracle.minimizer();
-        let grad_cap = self.oracle.max_support().unwrap_or(1);
-
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for tid in 0..self.threads {
-                let model = &model;
-                let counter = &counter;
-                let executed = &executed;
-                let interrupted = &interrupted;
-                let oracle = &self.oracle;
-                let (alpha, iterations) = (self.alpha, self.iterations);
-                let mut rng = seeds.child_rng(tid as u64);
-                scope.spawn(move || {
-                    let mut done = 0u64;
-                    // Strided control point shared by both paths: stop at
-                    // the success-check stride, metrics at their own stride.
-                    let observe = |claim: u64| -> bool {
-                        if claim.is_multiple_of(stride) && ctrl.is_stopped() {
-                            interrupted.store(true, Ordering::SeqCst);
-                            return true;
-                        }
-                        if ctrl.metrics_at(claim) {
-                            // Hold the lock only for the distance read; the
-                            // observer pipeline must run outside the critical
-                            // section or it stalls every worker.
-                            let dist_sq = {
-                                let x = model.lock();
-                                asgd_math::vec::l2_dist_sq(&x, minimizer)
-                            };
-                            ctrl.emit_metrics(claim, dist_sq);
-                        }
-                        false
-                    };
-                    if use_sparse {
-                        // Even under the lock, a Δ-sparse iteration need not
-                        // copy or scan the full model: sample through the
-                        // locked slice, update only the support.
-                        let mut grad = SparseGrad::with_capacity(grad_cap);
-                        loop {
-                            let claim = counter.fetch_add(1, Ordering::SeqCst);
-                            if claim >= iterations || observe(claim) {
-                                break;
-                            }
-                            let mut x = model.lock();
-                            oracle.sample_gradient_sparse(&*x, &mut rng, &mut grad);
-                            for &(j, gj) in grad.entries() {
-                                if gj != 0.0 {
-                                    x[j] -= alpha * gj;
-                                }
-                            }
-                            done += 1;
-                        }
-                    } else {
-                        let mut grad = vec![0.0; d];
-                        let mut view = vec![0.0; d];
-                        loop {
-                            let claim = counter.fetch_add(1, Ordering::SeqCst);
-                            if claim >= iterations || observe(claim) {
-                                break;
-                            }
-                            // The whole iteration holds the lock: fully serial
-                            // semantics (and fully serial performance).
-                            let mut x = model.lock();
-                            view.copy_from_slice(&x);
-                            oracle.sample_gradient(&view, &mut rng, &mut grad);
-                            asgd_math::vec::axpy(&mut x, -alpha, &grad);
-                            done += 1;
-                        }
-                    }
-                    executed.fetch_add(done, Ordering::SeqCst);
-                });
-            }
+        let budget = Budget {
+            counter: &counter,
+            limit: self.iterations,
+            offset: 0,
+        };
+        let kernel = Kernel::new(&self.oracle, &self.tuning, ctrl);
+        let joined = kernel.spawn(self.threads, self.seed, |worker| {
+            worker.claims(&budget, self.alpha, Locked(&model));
         });
-        let elapsed = start.elapsed();
 
         let final_model = model.into_inner();
         let final_dist_sq = asgd_math::vec::l2_dist_sq(&final_model, self.oracle.minimizer());
         LockedSgdReport {
             final_model,
             final_dist_sq,
-            iterations: executed.load(Ordering::SeqCst),
-            elapsed,
-            used_sparse: use_sparse,
-            cancelled: interrupted.load(Ordering::SeqCst),
+            iterations: joined.per_thread.iter().sum(),
+            elapsed: joined.elapsed,
+            used_sparse: kernel.use_sparse(),
+            cancelled: joined.cancelled,
         }
+    }
+}
+
+/// The coarse-lock apply policy: one mutex around the whole model, held
+/// across each step's read and apply, so iterations are fully serial.
+struct Locked<'m>(&'m Mutex<Vec<f64>>);
+
+/// Even under the lock, a Δ-sparse step need not copy or scan the full
+/// model: it samples through the locked slice and updates only the support.
+impl<O: GradientOracle> Step for Sparse<'_, O, Locked<'_>> {
+    const DENSE: bool = false;
+
+    fn dist_sq(&self, minimizer: &[f64]) -> f64 {
+        // Hold the lock only for the distance read: the observer pipeline
+        // runs outside the critical section, or it would stall every worker.
+        asgd_math::vec::l2_dist_sq(&self.policy.0.lock(), minimizer)
+    }
+
+    fn apply(&mut self, rng: &mut StdRng) {
+        let mut x = self.policy.0.lock();
+        self.oracle.sample_gradient_sparse(&*x, rng, self.grad);
+        for &(j, gj) in self.grad.entries() {
+            if gj != 0.0 {
+                x[j] -= self.alpha * gj;
+            }
+        }
+    }
+}
+
+impl<O: GradientOracle> Step for Dense<'_, O, Locked<'_>> {
+    // The view is read under the step's own lock, in `apply`.
+    const DENSE: bool = true;
+
+    fn dist_sq(&self, minimizer: &[f64]) -> f64 {
+        asgd_math::vec::l2_dist_sq(&self.policy.0.lock(), minimizer)
+    }
+
+    fn apply(&mut self, rng: &mut StdRng) {
+        // The whole iteration holds the lock: fully serial semantics (and
+        // fully serial performance).
+        let mut x = self.policy.0.lock();
+        self.view.copy_from_slice(&x);
+        self.oracle.sample_gradient(self.view, rng, self.grad);
+        asgd_math::vec::axpy(&mut x, -self.alpha, self.grad);
     }
 }
 
@@ -252,35 +226,6 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "entry {j}");
         }
-    }
-
-    #[test]
-    fn stop_flag_cancels_and_metrics_fire() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex as StdMutex;
-        let oracle = Arc::new(NoisyQuadratic::new(2, 0.0).unwrap());
-        let flag = AtomicBool::new(false);
-        let samples: StdMutex<Vec<u64>> = StdMutex::new(Vec::new());
-        let sink = |claim: u64, _dist_sq: f64| {
-            samples.lock().unwrap().push(claim);
-            // Cancel as soon as the first strided sample lands.
-            flag.store(true, Ordering::SeqCst);
-        };
-        let report = LockedSgd::new(oracle, 2, u64::MAX / 2, 0.1, 3).run_controlled(
-            &[1.0, 1.0],
-            crate::control::RunControl {
-                stop: Some(&flag),
-                metrics: Some(crate::control::MetricsSink {
-                    stride: 16,
-                    f: &sink,
-                }),
-                ..RunControl::default()
-            },
-        );
-        assert!(report.cancelled);
-        let stride = crate::tuning::ExecTuning::default().stride();
-        assert!(report.iterations <= 2 * stride + 2);
-        assert!(!samples.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!
 //! * [`ShardTopology`] — detected core count and coherency-line size (with
 //!   explicit overrides) from which a default shard count is derived;
-//! * [`ShardRouter`] — the index→(shard, offset) map. The hot path is
-//!   binary-search-free: power-of-two chunk sizes make routing a shift and a
-//!   mask. Ragged dimensions that cannot be chunked this way fall back to an
-//!   exact range table walked by binary search;
+//! * [`ShardRouter`] — the index→(shard, offset) map: power-of-two chunk
+//!   sizes make routing a shift and a mask, with a ragged final shard when
+//!   `d` is not a chunk multiple;
 //! * [`ShardedVec`] — a generic routed arena container (the sharded twin of
 //!   a `Vec<T>`), reused by [`GuardedModel`](crate::GuardedModel) for its
 //!   epoch-tagged words;
@@ -24,9 +23,9 @@
 //!   instantaneous cross-shard vector via double-collect validation. The
 //!   serving tier's stats-scrape mirrors these counters into the
 //!   process-wide telemetry registry (`asgd-telemetry`) as
-//!   `asgd_shard_updates_total{model=…,shard=…}` counters plus derived
-//!   `asgd_shard_update_rate` and `asgd_shard_claim_gap` gauges, and the
-//!   registry's snapshot uses this same double-collect protocol;
+//!   `asgd_shard_updates_total{model=…,shard=…}` counters plus a derived
+//!   `asgd_shard_update_rate` gauge, and the registry's snapshot uses this
+//!   same double-collect protocol;
 //! * [`ParamStore`] — the executor-facing enum over the flat
 //!   [`SharedModel`] and the sharded store. Enum dispatch costs one
 //!   predictable branch next to the atomic op it guards, and spares every
@@ -38,6 +37,7 @@
 //! same reads and CAS loops in the exact same order.
 
 use crate::atomic::{AtomicF64, CacheAligned};
+use crate::claim::{Apply, Scan};
 use crate::model::{SharedModel, UpdateOrder};
 use crate::tuning::{ExecTuning, ShardPolicy};
 use asgd_oracle::ModelView;
@@ -101,39 +101,27 @@ impl ShardTopology {
 
 /// The index→(shard, offset) map.
 ///
-/// [`ShardRouter::pow2`] covers every production store: chunk sizes are
-/// powers of two, so routing entry `j` is `j >> shift` and `j & mask` — no
-/// table, no branch, no search — with the final shard allowed to be ragged
-/// (shorter than the chunk) when `d` is not a multiple. [`ShardRouter::
-/// ranged`] is the exact fallback for arbitrary contiguous partitions
-/// (balanced non-power-of-two shard counts, adversarial test partitions):
-/// a sorted bound table routed by `partition_point` binary search.
+/// Chunk sizes are powers of two, so routing entry `j` is `j >> shift` and
+/// `j & mask` — no table, no branch, no search — with the final shard
+/// allowed to be ragged (shorter than the chunk) when `d` is not a multiple.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardRouter {
-    /// Shift-and-mask routing over power-of-two chunks.
-    Pow2 {
-        /// `log2` of the chunk size.
-        shift: u32,
-        /// `chunk − 1`, the offset mask.
-        mask: usize,
-        /// Shard count (= `ceil(d / chunk)`).
-        shards: usize,
-        /// Total dimension.
-        d: usize,
-    },
-    /// Exact contiguous ranges: `bounds[s] .. bounds[s + 1]` is shard `s`.
-    Ranged {
-        /// `shards + 1` strictly increasing bounds; first `0`, last `d`.
-        bounds: Vec<usize>,
-    },
+pub struct ShardRouter {
+    /// `log2` of the chunk size.
+    shift: u32,
+    /// `chunk − 1`, the offset mask.
+    mask: usize,
+    /// Shard count (= `ceil(d / chunk)`).
+    shards: usize,
+    /// Total dimension.
+    d: usize,
 }
 
 impl ShardRouter {
-    /// A power-of-two router splitting `d` entries into at most `shards`
-    /// chunks (clamped to `1..=d`). The chunk is `ceil(d / shards)` rounded
-    /// up to a power of two, so the realised shard count can be lower than
-    /// requested when rounding swallows a chunk; the last shard is ragged
-    /// when `d` is not a chunk multiple.
+    /// A router splitting `d` entries into at most `shards` chunks (clamped
+    /// to `1..=d`). The chunk is `ceil(d / shards)` rounded up to a power of
+    /// two, so the realised shard count can be lower than requested when
+    /// rounding swallows a chunk; the last shard is ragged when `d` is not a
+    /// chunk multiple.
     ///
     /// # Panics
     ///
@@ -143,7 +131,7 @@ impl ShardRouter {
         assert!(d > 0, "cannot route an empty model");
         let shards = shards.clamp(1, d);
         let chunk = d.div_ceil(shards).next_power_of_two();
-        Self::Pow2 {
+        Self {
             shift: chunk.trailing_zeros(),
             mask: chunk - 1,
             shards: d.div_ceil(chunk),
@@ -151,83 +139,28 @@ impl ShardRouter {
         }
     }
 
-    /// An exact-range router over the given bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bounds` starts at 0, ends at `d > 0`, and is strictly
-    /// increasing (every shard non-empty).
-    #[must_use]
-    pub fn ranged(bounds: Vec<usize>) -> Self {
-        assert!(bounds.len() >= 2, "need at least one range");
-        assert_eq!(bounds[0], 0, "ranges must start at 0");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "range bounds must be strictly increasing"
-        );
-        Self::Ranged { bounds }
-    }
-
-    /// A router with `shards` balanced contiguous ranges (sizes differing by
-    /// at most one): power-of-two routing when the balanced chunk is exactly
-    /// a power of two, the exact-range fallback otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0`.
-    #[must_use]
-    pub fn balanced(d: usize, shards: usize) -> Self {
-        assert!(d > 0, "cannot route an empty model");
-        let shards = shards.clamp(1, d);
-        let chunk = d.div_ceil(shards);
-        if chunk.is_power_of_two() && d.div_ceil(chunk) == shards {
-            return Self::pow2(d, shards);
-        }
-        let (base, extra) = (d / shards, d % shards);
-        let mut bounds = Vec::with_capacity(shards + 1);
-        let mut at = 0;
-        bounds.push(0);
-        for s in 0..shards {
-            at += base + usize::from(s < extra);
-            bounds.push(at);
-        }
-        Self::ranged(bounds)
-    }
-
     /// Total dimension routed.
     #[must_use]
     pub fn dimension(&self) -> usize {
-        match self {
-            Self::Pow2 { d, .. } => *d,
-            Self::Ranged { bounds } => *bounds.last().expect("validated non-empty"),
-        }
+        self.d
     }
 
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        match self {
-            Self::Pow2 { shards, .. } => *shards,
-            Self::Ranged { bounds } => bounds.len() - 1,
-        }
+        self.shards
     }
 
     /// Routes entry `j` to `(shard, offset)`.
     ///
     /// # Panics
     ///
-    /// May panic (or return an out-of-range shard) if `j ≥ d`; arena lookups
+    /// May return an out-of-range shard if `j ≥ d`; arena lookups
     /// bounds-check downstream.
     #[inline]
     #[must_use]
     pub fn route(&self, j: usize) -> (usize, usize) {
-        match self {
-            Self::Pow2 { shift, mask, .. } => (j >> shift, j & mask),
-            Self::Ranged { bounds } => {
-                let s = bounds.partition_point(|&b| b <= j) - 1;
-                (s, j - bounds[s])
-            }
-        }
+        (j >> self.shift, j & self.mask)
     }
 
     /// The index range shard `s` covers.
@@ -237,15 +170,8 @@ impl ShardRouter {
     /// Panics if `s ≥ shard_count()`.
     #[must_use]
     pub fn range(&self, s: usize) -> std::ops::Range<usize> {
-        match self {
-            Self::Pow2 {
-                shift, shards, d, ..
-            } => {
-                assert!(s < *shards, "shard {s} out of range");
-                (s << shift)..(((s + 1) << shift).min(*d))
-            }
-            Self::Ranged { bounds } => bounds[s]..bounds[s + 1],
-        }
+        assert!(s < self.shards, "shard {s} out of range");
+        (s << self.shift)..(((s + 1) << self.shift).min(self.d))
     }
 }
 
@@ -309,19 +235,6 @@ impl<T> ShardedVec<T> {
     }
 }
 
-impl<'a, T> IntoIterator for &'a ShardedVec<T> {
-    type Item = &'a T;
-    type IntoIter = std::iter::FlatMap<
-        std::slice::Iter<'a, Box<[T]>>,
-        std::slice::Iter<'a, T>,
-        fn(&'a Box<[T]>) -> std::slice::Iter<'a, T>,
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.arenas.iter().flat_map(|a| a.iter())
-    }
-}
-
 /// How many times [`ShardedModel::coherent_update_counts`] re-collects
 /// before settling for the (still per-entry-atomic) last collect.
 const COHERENT_RETRIES: usize = 16;
@@ -342,38 +255,17 @@ pub struct ShardedModel {
 }
 
 impl ShardedModel {
-    /// Creates a store initialised to `x0` behind an explicit router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router's dimension differs from `x0.len()`.
-    #[must_use]
-    pub fn with_router(x0: &[f64], router: ShardRouter, order: UpdateOrder) -> Self {
-        assert_eq!(router.dimension(), x0.len(), "router dimension mismatch");
-        let entries = ShardedVec::from_fn(router, |j| AtomicF64::new(x0[j]));
-        let counters = (0..entries.router().shard_count())
-            .map(|_| CacheAligned(AtomicU64::new(0)))
-            .collect();
-        Self {
-            entries,
-            counters,
-            order,
-        }
-    }
-
     /// Creates a store initialised to `x0` with at most `shards` power-of-two
-    /// chunked ranges — always shift-and-mask routing, never the exact-range
-    /// binary search (whose per-access bounds loads serialise address
-    /// generation against the atomics and halve random-access throughput at
-    /// DRAM-resident `d`). Chunk rounding can realise fewer shards than
-    /// requested; [`ShardedModel::shard_count`] reports the realised count.
+    /// chunked ranges, routed shift-and-mask (see [`ShardRouter::pow2`]).
+    /// Chunk rounding can realise fewer shards than requested;
+    /// [`ShardedModel::shard_count`] reports the realised count.
     ///
     /// # Panics
     ///
     /// Panics if `x0` is empty.
     #[must_use]
     pub fn with_options(x0: &[f64], shards: usize, order: UpdateOrder) -> Self {
-        Self::with_router(x0, ShardRouter::pow2(x0.len(), shards), order)
+        Self::from_router(ShardRouter::pow2(x0.len(), shards), order, |j| x0[j])
     }
 
     /// A zero store of dimension `d` (power-of-two chunked, like
@@ -385,8 +277,11 @@ impl ShardedModel {
     /// Panics if `d == 0`.
     #[must_use]
     pub fn zeros_with(d: usize, shards: usize, order: UpdateOrder) -> Self {
-        let router = ShardRouter::pow2(d, shards);
-        let entries = ShardedVec::from_fn(router, |_| AtomicF64::new(0.0));
+        Self::from_router(ShardRouter::pow2(d, shards), order, |_| 0.0)
+    }
+
+    fn from_router(router: ShardRouter, order: UpdateOrder, init: impl Fn(usize) -> f64) -> Self {
+        let entries = ShardedVec::from_fn(router, |j| AtomicF64::new(init(j)));
         let counters = (0..entries.router().shard_count())
             .map(|_| CacheAligned(AtomicU64::new(0)))
             .collect();
@@ -711,26 +606,6 @@ impl ParamStore {
             Self::Sharded(m) => m.snapshot(),
         }
     }
-
-    /// Streaming `‖X − y‖²`: per-entry atomic reads accumulated in index
-    /// order — bit-identical to `l2_dist_sq(&view, y)` over a freshly read
-    /// view, with no O(d) scratch materialised. This is what the sparse
-    /// claim loops' strided success/metrics samples use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != d`.
-    #[must_use]
-    pub fn dist_sq_to(&self, y: &[f64]) -> f64 {
-        assert_eq!(y.len(), self.dimension(), "dist_sq_to dimension mismatch");
-        y.iter()
-            .enumerate()
-            .map(|(j, &b)| {
-                let a = self.read(j);
-                (a - b) * (a - b)
-            })
-            .sum()
-    }
 }
 
 /// Per-entry reads for sparse oracles — one atomic load per call.
@@ -741,6 +616,14 @@ impl ModelView for ParamStore {
 
     fn entry(&self, j: usize) -> f64 {
         self.read(j)
+    }
+}
+
+/// The store's own view scan walks arenas in index order without routing
+/// each entry.
+impl Scan for ParamStore {
+    fn read_view(&self, view: &mut [f64]) {
+        ParamStore::read_view(self, view);
     }
 }
 
@@ -834,6 +717,21 @@ impl Drop for StoreWriter<'_> {
     }
 }
 
+/// The lock-free apply policy: one `fetch&add` per entry, shard credits
+/// batched.
+impl Apply for StoreWriter<'_> {
+    type Model = ParamStore;
+
+    fn model(&self) -> &ParamStore {
+        self.store
+    }
+
+    #[inline]
+    fn add(&mut self, j: usize, delta: f64) {
+        self.fetch_add(j, delta);
+    }
+}
+
 impl ShardPolicy {
     /// Resolves the policy to a *requested* shard count for a
     /// `d`-dimensional model: `None` keeps the flat store, `Some(n)` builds
@@ -896,48 +794,9 @@ mod tests {
     }
 
     #[test]
-    fn ranged_router_handles_uneven_partitions() {
-        let r = ShardRouter::ranged(vec![0, 3, 4, 10]);
-        assert_eq!(r.shard_count(), 3);
-        assert_eq!(r.dimension(), 10);
-        assert_eq!(r.route(0), (0, 0));
-        assert_eq!(r.route(2), (0, 2));
-        assert_eq!(r.route(3), (1, 0));
-        assert_eq!(r.route(4), (2, 0));
-        assert_eq!(r.route(9), (2, 5));
-        assert_eq!(r.range(1), 3..4);
-    }
-
-    #[test]
-    fn balanced_router_prefers_pow2() {
-        assert!(matches!(
-            ShardRouter::balanced(1 << 16, 4),
-            ShardRouter::Pow2 { .. }
-        ));
-        // chunk = ceil(10/3) = 4 is a power of two yielding exactly 3
-        // shards, so even this ragged dimension routes shift-and-mask.
-        let ten = ShardRouter::balanced(10, 3);
-        assert!(matches!(ten, ShardRouter::Pow2 { .. }));
-        assert_eq!(ten.shard_count(), 3);
-        assert_eq!(ten.range(2), 8..10, "last shard ragged");
-        // chunk = ceil(11/2) = 6 is not a power of two: exact-range fallback
-        // with balanced sizes differing by at most one.
-        let ragged = ShardRouter::balanced(11, 2);
-        assert!(matches!(ragged, ShardRouter::Ranged { .. }));
-        assert_eq!(ragged.shard_count(), 2);
-        assert_eq!(ragged.range(0), 0..6);
-        assert_eq!(ragged.range(1), 6..11);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn ranged_router_rejects_empty_shards() {
-        let _ = ShardRouter::ranged(vec![0, 5, 5, 10]);
-    }
-
-    #[test]
     fn sharded_vec_orders_entries_like_a_flat_vec() {
-        let r = ShardRouter::balanced(11, 3);
+        let r = ShardRouter::pow2(11, 3);
+        assert_eq!(r.range(2), 8..11, "last shard ragged");
         let v = ShardedVec::from_fn(r, |j| j * 10);
         assert_eq!(v.dimension(), 11);
         for j in 0..11 {
@@ -945,8 +804,6 @@ mod tests {
         }
         let flat: Vec<usize> = v.iter().copied().collect();
         assert_eq!(flat, (0..11).map(|j| j * 10).collect::<Vec<_>>());
-        let by_ref: Vec<usize> = (&v).into_iter().copied().collect();
-        assert_eq!(by_ref, flat);
     }
 
     #[test]

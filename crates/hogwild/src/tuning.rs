@@ -44,7 +44,8 @@ pub enum ShardPolicy {
     /// Derive the shard count from the detected topology (cores and
     /// coherency-line size).
     Auto,
-    /// Exactly this many balanced contiguous shards (clamped to `1..=d`).
+    /// At most this many power-of-two chunked shards (clamped to `1..=d`;
+    /// chunk rounding can realise fewer).
     Fixed(usize),
 }
 
@@ -68,11 +69,6 @@ pub struct ExecTuning {
     /// Pin worker threads round-robin to cores at spawn (best effort; a
     /// failed pin is ignored). Off by default.
     pub pin: bool,
-    /// On the sparse path, the success-region check needs a full O(d)
-    /// distance accumulation; it is sampled every this many claims instead
-    /// of every claim (the dense path, which has the view anyway, keeps
-    /// checking every claim). Clamped to ≥ 1.
-    pub success_check_stride: u64,
 }
 
 impl Default for ExecTuning {
@@ -83,37 +79,7 @@ impl Default for ExecTuning {
             sparse: SparsePolicy::Auto,
             shards: ShardPolicy::Flat,
             pin: false,
-            success_check_stride: 16,
         }
-    }
-}
-
-impl ExecTuning {
-    /// The stride, clamped to ≥ 1.
-    #[must_use]
-    pub fn stride(&self) -> u64 {
-        self.success_check_stride.max(1)
-    }
-}
-
-/// Allocates the dense O(d) scratch vector a claim loop needs — and asserts
-/// (in debug builds) that the sparse path never asks for one.
-///
-/// Every executor routes its view/accumulator allocations through here with
-/// `use_sparse` from its path decision and `needed` from its own logic, so
-/// the "sparse path materialises no dense scratch" invariant is *checked* at
-/// every allocation site rather than promised in a comment. Returns an empty
-/// vector when `needed` is false.
-#[must_use]
-pub fn dense_scratch(d: usize, use_sparse: bool, needed: bool) -> Vec<f64> {
-    debug_assert!(
-        !(use_sparse && needed),
-        "sparse path must not materialise a dense O(d) scratch vector"
-    );
-    if needed {
-        vec![0.0; d]
-    } else {
-        Vec::new()
     }
 }
 
@@ -148,25 +114,5 @@ mod tests {
         assert_eq!(t.sparse, SparsePolicy::Auto);
         assert_eq!(t.shards, ShardPolicy::Flat, "flat store is the default");
         assert!(!t.pin, "pinning defaults off");
-        assert!(t.stride() >= 1);
-        let zero = ExecTuning {
-            success_check_stride: 0,
-            ..ExecTuning::default()
-        };
-        assert_eq!(zero.stride(), 1, "stride clamps to 1");
-    }
-
-    #[test]
-    fn dense_scratch_allocates_only_when_needed() {
-        assert_eq!(dense_scratch(8, false, true), vec![0.0; 8]);
-        assert!(dense_scratch(8, false, false).is_empty());
-        assert!(dense_scratch(8, true, false).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sparse path must not materialise")]
-    #[cfg(debug_assertions)]
-    fn dense_scratch_rejects_sparse_path_allocations() {
-        let _ = dense_scratch(8, true, true);
     }
 }

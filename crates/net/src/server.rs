@@ -803,13 +803,6 @@ fn scrape(conn: &Connection) -> Response {
                 .set(staleness as f64);
         }
         if !stats.shard_updates.is_empty() {
-            // Claim gap: iterations claimed by workers minus updates already
-            // applied to the shards — the store-level view of the paper's
-            // in-flight delay τ.
-            let applied: u64 = stats.shard_updates.iter().sum();
-            telemetry
-                .gauge(&format!("asgd_shard_claim_gap{{model=\"{model}\"}}"))
-                .set(stats.iterations.saturating_sub(applied) as f64);
             let rates = prev.get(model.as_str()).map(|(prev_updates, at)| {
                 let dt = now.duration_since(*at).as_secs_f64().max(1e-9);
                 (prev_updates.clone(), dt)
