@@ -1383,7 +1383,7 @@ fn stats_smoke(dim: usize, artifacts: Option<&Path>) {
     let latency_ok = mid_snap
         .histograms
         .iter()
-        .any(|(k, h)| k == "asgd_net_serve_latency_ns" && h.count > 0 && h.sum > 0);
+        .any(|(k, h)| k == "asgd_net_serve_latency_ns" && h.total() > 0 && h.sum() > 0);
     if !latency_ok {
         fail("mid-run scrape's serve-latency histogram is empty");
     }

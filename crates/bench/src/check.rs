@@ -412,7 +412,7 @@ fn telemetry_overhead_gate(report: &mut CheckReport) {
     });
     let x0 = vec![1.0; TELEMETRY_GATE_DIM];
     let hist = asgd_telemetry::global().histogram("asgd_hogwild_step_ns");
-    let recorded_before = hist.snapshot().count;
+    let recorded_before = hist.count();
     let timing = |_claim: u64, elapsed_ns: u64, steps: u64| {
         hist.record(elapsed_ns / steps.max(1));
     };
@@ -433,7 +433,7 @@ fn telemetry_overhead_gate(report: &mut CheckReport) {
     };
     let baseline = best_of(false);
     let instrumented = best_of(true);
-    let samples = hist.snapshot().count.saturating_sub(recorded_before);
+    let samples = hist.count().saturating_sub(recorded_before);
     judge_telemetry_overhead(instrumented, baseline, samples, report);
 }
 

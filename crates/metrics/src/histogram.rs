@@ -1,10 +1,56 @@
-//! Integer histograms for contention statistics and serving telemetry.
+//! The one histogram over `u64` observations (contention, the delay τ,
+//! staleness, step and request latencies), shared by the bench reports, the
+//! load shedder's window and the live scrape (striped over atomic cells by
+//! `asgd-telemetry`), so a quantile means the same thing in all three.
+//!
+//! # Precision
+//!
+//! Every value below 64 has a bucket of its own. From 64 up to 2^48 each
+//! power of two `[2^e, 2^(e+1))` splits into 32 equal sub-buckets, so no
+//! bucket is wider than 1/32 of its lower bound; everything at or above
+//! 2^48 (≈ 78 hours in ns) shares one overflow bucket: [`BUCKETS`] = 1,409
+//! in all. Count, sum, min and max are exact.
+//!
+//! [`Histogram::quantile`] applies the rank rule of a sorted sample
+//! (`h = q · (n − 1)`, interpolate between the neighbouring order
+//! statistics, round to nearest) to estimated order statistics: the
+//! smallest and largest are the exact min and max, any other is its
+//! bucket's midpoint clamped into `[min, max]` (within 1/64 of the true
+//! value; the overflow bucket reads as the max). So every quantile lies in
+//! `[min, max]`; is exact where the order statistics around it are below 64;
+//! and lies within 1/32 (3.125%) of the exact quantile below 2^48, or within
+//! one unit where that is below 32 and the two roundings split. At or above
+//! 2^48 it may read high, but never lower than that.
 
-/// The tail percentiles serving benchmarks report, extracted from a
-/// [`Histogram`] by rank with linear interpolation between adjacent order
-/// statistics (rounded to the nearest integer), so tiny sample counts yield
-/// sensible quantiles instead of collapsing every tail percentile onto the
-/// maximum.
+/// Number of buckets: 64 exact values, 42 powers of two × 32 sub-buckets,
+/// and the overflow bucket.
+pub const BUCKETS: usize = 1409;
+
+/// The bucket `v` is recorded in.
+#[inline]
+#[must_use]
+pub fn bucket_of(v: u64) -> usize {
+    if v < 32 {
+        return v as usize;
+    }
+    // Sub-buckets 2^shift wide: the top six bits of v pick the bucket.
+    let shift = 58 - v.leading_zeros();
+    (((shift as usize) << 5) + (v >> shift) as usize).min(BUCKETS - 1)
+}
+
+/// The inclusive value range `(low, high)` of bucket `i < BUCKETS`.
+#[must_use]
+pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    let low = |i: usize| match i {
+        0..32 => i as u64,
+        _ => (32 + i as u64 % 32) << (i / 32 - 1),
+    };
+    let high = (i + 1 < BUCKETS).then(|| low(i + 1) - 1);
+    (low(i), high.unwrap_or(u64::MAX))
+}
+
+/// The tail percentiles serving benchmarks report, each a
+/// [`Histogram::quantile`] (see the [precision](self#precision) notes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Percentiles {
     /// Median (p50).
@@ -19,12 +65,25 @@ pub struct Percentiles {
     pub max: u64,
 }
 
-/// A histogram over `u64` observations (e.g. interval contention `ρ(θ)`,
-/// staleness `τ_t` values, or per-query latencies in nanoseconds).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A log-linear histogram over `u64` observations with exact count, sum,
+/// min and max (see the [precision](self#precision) notes). An empty one
+/// has no order statistics: quantiles, percentiles, min, max and mean are
+/// all `None`, never a sentinel value.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    counts: std::collections::BTreeMap<u64, u64>,
+    /// `BUCKETS` per-bucket counts.
+    counts: Vec<u64>,
     total: u64,
+    sum: u128,
+    /// `u64::MAX` and `0` while empty, so recording is a plain min/max.
+    min: u64,
+    max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::from_parts(vec![0; BUCKETS], 0, u64::MAX, 0)
+    }
 }
 
 impl Histogram {
@@ -34,20 +93,39 @@ impl Histogram {
         Self::default()
     }
 
-    /// Builds a histogram from observations.
+    /// A histogram from `BUCKETS` per-bucket counts kept elsewhere (the
+    /// telemetry registry's cells, a parsed scrape) and the sum, min and max
+    /// of the same observations; `min` and `max` must bound every counted
+    /// value. With no count, the result is [`Histogram::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `counts` holds `BUCKETS` entries.
     #[must_use]
-    pub fn from_values(values: &[u64]) -> Self {
-        let mut h = Self::new();
-        for &v in values {
-            h.push(v);
+    pub fn from_parts(counts: Vec<u64>, sum: u128, min: u64, max: u64) -> Self {
+        assert_eq!(counts.len(), BUCKETS, "one count per bucket");
+        let total = counts.iter().sum();
+        let (sum, min, max) = if total == 0 {
+            (0, u64::MAX, 0)
+        } else {
+            (sum, min, max)
+        };
+        Self {
+            counts,
+            total,
+            sum,
+            min,
+            max,
         }
-        h
     }
 
     /// Records one observation.
     pub fn push(&mut self, value: u64) {
-        *self.counts.entry(value).or_insert(0) += 1;
+        self.counts[bucket_of(value)] += 1;
         self.total += 1;
+        self.sum += u128::from(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Total observations.
@@ -56,43 +134,34 @@ impl Histogram {
         self.total
     }
 
-    /// Total observations — alias of [`Histogram::total`], paired with
-    /// [`Histogram::is_empty`] in the standard container idiom.
+    /// Exact sum of the observations.
     #[must_use]
-    pub fn len(&self) -> u64 {
-        self.total
+    pub fn sum(&self) -> u128 {
+        self.sum
     }
 
-    /// True when no observation has been recorded. An empty histogram has
-    /// no order statistics: [`Histogram::quantile`],
-    /// [`Histogram::percentiles`], [`Histogram::min`], [`Histogram::max`]
-    /// and [`Histogram::mean`] all return `None` (never a sentinel value).
+    /// Smallest observed value.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Count of a specific value.
-    #[must_use]
-    pub fn count(&self, value: u64) -> u64 {
-        self.counts.get(&value).copied().unwrap_or(0)
+    pub fn min(&self) -> Option<u64> {
+        (self.total > 0).then_some(self.min)
     }
 
     /// Largest observed value.
     #[must_use]
     pub fn max(&self) -> Option<u64> {
-        self.counts.keys().next_back().copied()
+        (self.total > 0).then_some(self.max)
     }
 
-    /// The `q`-quantile (`0 ≤ q ≤ 1`) by rank, linearly interpolated.
-    ///
-    /// Uses the standard `h = q · (n − 1)` rank: the result interpolates
-    /// between the `⌊h⌋`-th and `⌈h⌉`-th order statistics and rounds to the
-    /// nearest integer (half away from zero). At tiny sample counts this
-    /// keeps tail percentiles anchored between order statistics instead of
-    /// collapsing them all onto the maximum — the p90 of `{10, 20}` is 19,
-    /// not 20 — while exact ranks (including `q = 0` and `q = 1`) still
-    /// return exact observed values.
+    /// Mean of the observations (`None` when empty).
+    #[must_use]
+    pub fn mean(&self) -> Option<f64> {
+        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
+    }
+
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) by rank, linearly interpolated (see
+    /// the [precision](self#precision) notes). At tiny sample counts this
+    /// keeps tail percentiles between order statistics instead of
+    /// collapsing them onto the maximum: the p90 of `{10, 20}` is 19.
     ///
     /// # Panics
     ///
@@ -106,56 +175,45 @@ impl Histogram {
         let h = q * (self.total - 1) as f64;
         let lo_rank = h.floor() as u64;
         let frac = h - h.floor();
-        let lo = self.order_stat(lo_rank)?;
+        let lo = self.order_stat(lo_rank);
         if frac == 0.0 {
             return Some(lo);
         }
-        let hi = self.order_stat(lo_rank + 1)?;
-        // Interpolate in f64 and round half away from zero; lo ≤ hi keeps
-        // the result within the observed range.
-        Some((lo as f64 + (hi - lo) as f64 * frac).round() as u64)
+        let hi = self.order_stat(lo_rank + 1).max(lo);
+        // Interpolate in f64 and round half away from zero, staying inside
+        // [lo, hi] and so inside the observed range.
+        Some(((lo as f64 + (hi - lo) as f64 * frac).round() as u64).min(hi))
     }
 
-    /// The 0-based `rank`-th smallest observation (with multiplicity).
-    fn order_stat(&self, rank: u64) -> Option<u64> {
-        let mut acc = 0;
-        for (&v, &c) in &self.counts {
-            acc += c;
-            if acc > rank {
-                return Some(v);
-            }
+    /// The 0-based `rank`-th smallest observation: exact at the two ends,
+    /// elsewhere its bucket's midpoint (the max for the overflow bucket)
+    /// clamped into `[min, max]`.
+    fn order_stat(&self, rank: u64) -> u64 {
+        if rank == 0 || rank + 1 >= self.total {
+            return if rank == 0 { self.min } else { self.max };
         }
-        None
-    }
-
-    /// Smallest observed value.
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        self.counts.keys().next().copied()
-    }
-
-    /// Mean of the observations (`None` when empty).
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| {
-            let sum: f64 = self.counts.iter().map(|(&v, &c)| v as f64 * c as f64).sum();
-            sum / self.total as f64
-        })
+        let mut below = 0;
+        let i = (bucket_of(self.min)..BUCKETS)
+            .find(|&i| {
+                below += self.counts[i];
+                below > rank
+            })
+            .unwrap_or(BUCKETS - 1);
+        let (low, high) = bucket_bounds(i);
+        let mid = if i == BUCKETS - 1 {
+            high
+        } else {
+            low + (high - low) / 2
+        };
+        mid.max(self.min).min(self.max)
     }
 
     /// The serving-telemetry percentile set (p50/p90/p99/p999/max), each
-    /// rank-interpolated via [`Histogram::quantile`]; `max` is always the
-    /// exact largest observation.
-    ///
-    /// On an empty histogram the outcome is defined: `None`, always — there
-    /// is no observation to return, and inventing a `0` would let an idle
-    /// window masquerade as a fast one (tested in
-    /// `percentiles_on_empty_are_defined`).
+    /// via [`Histogram::quantile`]; `max` is always the exact largest
+    /// observation. `None` when empty: inventing a `0` would let an idle
+    /// window masquerade as a fast one.
     #[must_use]
     pub fn percentiles(&self) -> Option<Percentiles> {
-        if self.is_empty() {
-            return None;
-        }
         Some(Percentiles {
             p50: self.quantile(0.50)?,
             p90: self.quantile(0.90)?,
@@ -165,55 +223,57 @@ impl Histogram {
         })
     }
 
-    /// Folds another histogram into this one (per-value count addition).
-    /// Merging is how per-client serving telemetry becomes one report:
-    /// `merge` over the client histograms is exactly the histogram of the
-    /// concatenated observations.
+    /// Folds another histogram into this one. Merging is how per-client
+    /// serving telemetry becomes one report: `merge` over the client
+    /// histograms is exactly the histogram of the concatenated
+    /// observations.
     pub fn merge(&mut self, other: &Histogram) {
-        for (v, c) in other.iter() {
-            *self.counts.entry(v).or_insert(0) += c;
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
         self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
-    /// Iterates `(value, count)` in increasing value order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().map(|(&v, &c)| (v, c))
+    /// Iterates `(bucket, count)` over the non-empty buckets in increasing
+    /// value order; [`bucket_bounds`] gives each bucket's value range.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &c)| (c > 0).then_some((i, c)))
     }
 
-    /// Renders a compact ASCII bar chart (one row per distinct value, bars
-    /// scaled to `width` characters).
+    /// Renders a compact ASCII bar chart (one row per non-empty bucket,
+    /// labelled with its value or value range, bars scaled to `width`
+    /// characters).
     #[must_use]
     pub fn render(&self, width: usize) -> String {
         let mut out = String::new();
-        let max_count = self.counts.values().copied().max().unwrap_or(0);
-        for (v, c) in self.iter() {
-            let bar_len = if max_count == 0 {
-                0
-            } else {
-                ((c as f64 / max_count as f64) * width as f64).round() as usize
+        let max_count = self.counts.iter().copied().max().unwrap_or(0);
+        for (i, c) in self.iter() {
+            let bar_len = ((c as f64 / max_count as f64) * width as f64).round() as usize;
+            let label = match bucket_bounds(i) {
+                (low, high) if low == high => low.to_string(),
+                (low, high) => format!("{low}-{high}"),
             };
             out.push_str(&format!(
-                "{v:>8} | {:<width$} {c}\n",
-                "#".repeat(bar_len.max(usize::from(c > 0)))
+                "{label:>8} | {:<width$} {c}\n",
+                "#".repeat(bar_len.max(1))
             ));
         }
         out
     }
 }
 
-impl Extend<u64> for Histogram {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
 impl FromIterator<u64> for Histogram {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
         let mut h = Self::new();
-        h.extend(iter);
+        for v in iter {
+            h.push(v);
+        }
         h
     }
 }
@@ -223,11 +283,31 @@ mod tests {
     use super::*;
 
     #[test]
+    fn buckets_tile_the_value_range() {
+        // Consecutive buckets meet with no gap or overlap, every bound maps
+        // back to its own bucket, and no finite bucket above the exact
+        // range is wider than 1/32 of its lower bound.
+        let mut next = 0;
+        for i in 0..BUCKETS {
+            let (low, high) = bucket_bounds(i);
+            assert_eq!(low, next, "bucket {i} starts where {} ended", i.max(1) - 1);
+            assert_eq!((bucket_of(low), bucket_of(high)), (i, i));
+            if i < BUCKETS - 1 {
+                assert!((high - low + 1) * 32 <= low.max(32), "bucket {i} too wide");
+                next = high + 1;
+            }
+        }
+        assert_eq!(bucket_bounds(BUCKETS - 1), (1 << 48, u64::MAX));
+        assert_eq!(bucket_of(63), 63);
+        assert_eq!(bucket_bounds(64), (64, 65));
+    }
+
+    #[test]
     fn counts_and_total() {
-        let h = Histogram::from_values(&[1, 1, 2, 5]);
+        let h = Histogram::from_iter([1, 1, 2, 5]);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(3), 0);
+        assert_eq!(h.sum(), 9);
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![(1, 2), (2, 1), (5, 1)]);
         assert_eq!(h.max(), Some(5));
     }
 
@@ -245,12 +325,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn quantile_range_checked() {
-        let _ = Histogram::from_values(&[1]).quantile(1.5);
+        let _ = Histogram::from_iter([1]).quantile(1.5);
     }
 
     #[test]
     fn render_shows_bars() {
-        let h = Histogram::from_values(&[0, 0, 0, 7]);
+        let h = Histogram::from_iter([0, 0, 0, 7]);
         let s = h.render(10);
         assert!(s.contains('#'));
         assert!(s.contains('7'));
@@ -259,7 +339,7 @@ mod tests {
 
     #[test]
     fn min_and_mean() {
-        let h = Histogram::from_values(&[2, 4, 6]);
+        let h = Histogram::from_iter([2, 4, 6]);
         assert_eq!(h.min(), Some(2));
         assert_eq!(h.mean(), Some(4.0));
         assert_eq!(Histogram::new().min(), None);
@@ -269,23 +349,17 @@ mod tests {
     #[test]
     fn percentiles_interpolate_by_rank() {
         // 1000 observations 1..=1000: h = q·999, interpolated then rounded.
-        // p50 lands midway between 500 and 501 (→ 501); the tail ranks all
-        // round back onto their lower order statistic.
+        // Exactly that is p50 = 501, p90 = 900, p99 = 990, p999 = 999;
+        // each estimate is within 1/32 of it.
         let h: Histogram = (1..=1000).collect();
         let p = h.percentiles().expect("non-empty");
-        assert_eq!(
-            p,
-            Percentiles {
-                p50: 501,
-                p90: 900,
-                p99: 990,
-                p999: 999,
-                max: 1000,
-            }
-        );
+        for (got, exact) in [(p.p50, 501), (p.p90, 900), (p.p99, 990), (p.p999, 999)] {
+            assert!(got.abs_diff(exact) * 32 <= exact, "{got} vs {exact}");
+        }
+        assert_eq!(p.max, 1000);
         assert_eq!(Histogram::new().percentiles(), None);
         // A single observation is every percentile.
-        let one = Histogram::from_values(&[7]);
+        let one = Histogram::from_iter([7]);
         let p = one.percentiles().unwrap();
         assert_eq!((p.p50, p.p999, p.max), (7, 7, 7));
     }
@@ -294,7 +368,7 @@ mod tests {
     fn tiny_sample_counts_do_not_collapse_to_max() {
         // n = 2: h = q·1, so every percentile interpolates between the two
         // observations instead of jumping to the max.
-        let two = Histogram::from_values(&[10, 20]);
+        let two = Histogram::from_iter([10, 20]);
         let p = two.percentiles().unwrap();
         assert_eq!(p.p50, 15);
         assert_eq!(p.p90, 19);
@@ -302,28 +376,16 @@ mod tests {
         assert!(p.p90 < p.max, "p90 must not collapse onto the max at n=2");
         // n = 3: the median is the exact middle observation; p90 sits
         // between the 2nd and 3rd.
-        let three = Histogram::from_values(&[10, 20, 30]);
+        let three = Histogram::from_iter([10, 20, 30]);
         let p = three.percentiles().unwrap();
         assert_eq!(p.p50, 20);
         assert_eq!(p.p90, 28);
         assert!(p.p90 < p.max);
         // Duplicated values interpolate between equal order statistics
         // (a flat segment), so ties stay exact.
-        let ties = Histogram::from_values(&[5, 5, 5, 40]);
+        let ties = Histogram::from_iter([5, 5, 5, 40]);
         assert_eq!(ties.quantile(0.5), Some(5));
         assert_eq!(ties.quantile(0.25), Some(5));
-    }
-
-    #[test]
-    fn len_and_is_empty_track_total() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.len(), 0);
-        h.push(9);
-        h.push(9);
-        assert!(!h.is_empty());
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.len(), h.total());
     }
 
     #[test]
@@ -340,20 +402,21 @@ mod tests {
         let mut merged_empty = Histogram::new();
         merged_empty.merge(&Histogram::new());
         assert_eq!(merged_empty.percentiles(), None);
-        let from_nothing = Histogram::from_values(&[]);
+        let from_nothing = Histogram::from_iter([]);
         assert_eq!(from_nothing.percentiles(), None);
-        assert!(from_nothing.is_empty());
+        assert_eq!(from_nothing.total(), 0);
+        let from_parts = Histogram::from_parts(vec![0; BUCKETS], 5, 1, 2);
+        assert_eq!(from_parts, fresh);
     }
 
     #[test]
     fn merge_equals_concatenation() {
-        let mut a = Histogram::from_values(&[1, 1, 5]);
-        let b = Histogram::from_values(&[1, 2, 9]);
+        let mut a = Histogram::from_iter([1, 1, 5]);
+        let b = Histogram::from_iter([1, 2, 9]);
         a.merge(&b);
-        let concat = Histogram::from_values(&[1, 1, 5, 1, 2, 9]);
+        let concat = Histogram::from_iter([1, 1, 5, 1, 2, 9]);
         assert_eq!(a, concat);
         assert_eq!(a.total(), 6);
-        assert_eq!(a.count(1), 3);
         // Merging an empty histogram is a no-op; merging into one copies.
         let mut empty = Histogram::new();
         empty.merge(&concat);
@@ -367,5 +430,100 @@ mod tests {
         let h: Histogram = vec![3u64, 3, 9].into_iter().collect();
         let pairs: Vec<_> = h.iter().collect();
         assert_eq!(pairs, vec![(3, 2), (9, 1)]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The smallest value recorded in the overflow bucket.
+    const OVERFLOW_FLOOR: u64 = 1 << 48;
+
+    /// The exact quantile rule on a sorted sample: `h = q·(n−1)`,
+    /// interpolate between the neighbouring order statistics, round half
+    /// away from zero. Returns the result and the two order statistics.
+    fn reference(sorted: &[u64], q: f64) -> (u64, u64, u64) {
+        let h = q * (sorted.len() - 1) as f64;
+        let lo_rank = h.floor() as usize;
+        let frac = h - h.floor();
+        let lo = sorted[lo_rank];
+        if frac == 0.0 {
+            return (lo, lo, lo);
+        }
+        let hi = sorted[lo_rank + 1];
+        let exact = (lo as f64 + (hi - lo) as f64 * frac).round() as u64;
+        (exact, lo, hi)
+    }
+
+    /// A heavy-tailed draw: log-uniform over `[1, 2^48)`.
+    fn log_uniform(r: u64) -> u64 {
+        let e = r % 48;
+        (1 << e) + (r >> 6) % (1 << e)
+    }
+
+    /// A sample of one shape: all below 64, uniform below a random scale,
+    /// Pareto (α = 1.2, scale 100), or log-uniform with one draw in eight
+    /// at or above 2^48.
+    fn sample() -> impl Strategy<Value = Vec<u64>> {
+        (
+            0_u64..4,
+            0_usize..4,
+            proptest::collection::vec(any::<u64>(), 1..400),
+        )
+            .prop_map(|(shape, scale, raw)| {
+                raw.into_iter()
+                    .map(|r| match shape {
+                        0 => r % 64,
+                        1 => r % [100, 5_000, 1 << 20, 1 << 40][scale],
+                        2 => {
+                            let u = ((r >> 11) + 1) as f64 / (1_u64 << 53) as f64;
+                            ((100.0 / u.powf(1.0 / 1.2)) as u64).min(OVERFLOW_FLOOR - 1)
+                        }
+                        _ if r % 8 == 0 => OVERFLOW_FLOOR + (r >> 3) % (u64::MAX - OVERFLOW_FLOOR),
+                        _ => log_uniform(r),
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The log-linear histogram against an exact sorted reference.
+        #[test]
+        fn histogram_matches_the_exact_reference(
+            values in sample(),
+            split in 0_usize..400,
+            q in 0.0_f64..1.0,
+        ) {
+            let h = Histogram::from_iter(values.iter().copied());
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(h.total(), values.len() as u64);
+            prop_assert_eq!(h.sum(), values.iter().map(|&v| u128::from(v)).sum::<u128>());
+            prop_assert_eq!(h.min(), sorted.first().copied());
+            prop_assert_eq!(h.max(), sorted.last().copied());
+            for q in [0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0, q] {
+                let got = h.quantile(q).expect("non-empty");
+                let (exact, lo, hi) = reference(&sorted, q);
+                let slack = (exact / 32).max(1);
+                if hi < 64 {
+                    prop_assert_eq!(got, exact, "q={}: values below 64 are exact", q);
+                } else if hi < OVERFLOW_FLOOR {
+                    prop_assert!(got.abs_diff(exact) <= slack, "q={q}: {got} vs exact {exact}");
+                } else {
+                    prop_assert!(
+                        got >= exact.saturating_sub(slack) && got <= sorted[sorted.len() - 1],
+                        "q={q}: {got} vs exact {exact} between {lo} and {hi}"
+                    );
+                }
+            }
+            let (a, b) = values.split_at(split.min(values.len()));
+            let mut merged = Histogram::from_iter(a.iter().copied());
+            merged.merge(&Histogram::from_iter(b.iter().copied()));
+            prop_assert_eq!(merged, h);
+        }
     }
 }

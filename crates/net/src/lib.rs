@@ -20,7 +20,7 @@
 //!   backpressure), per-connection idle/write timeouts, and **SLO load
 //!   shedding**.
 //! * [`LoadShedder`] — tracks the rolling p99 of executed requests in a
-//!   count-rotated [`SlidingHistogram`](asgd_metrics::SlidingHistogram)
+//!   count-rotated window of [`Histogram`](asgd_metrics::Histogram) slots
 //!   and, past the objective, sheds lowest-priority traffic first with
 //!   explicit [`Response::Shed`] frames. Shed requests skip their compute
 //!   entirely — that reclaimed CPU is what holds the admitted p99.

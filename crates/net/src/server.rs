@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 use asgd_driver::{RunEvent, RunObserver};
 use asgd_oracle::{IngressError, Observation};
 use asgd_serve::{ModelEntry, ModelId, ModelRegistry, ReadMode, ServeError};
+use asgd_telemetry::StripedHistogram;
 
 use crate::fault::{FaultPlan, FaultyStream};
 use crate::protocol::{
@@ -185,6 +186,25 @@ struct Counters {
     /// previous `stats-scrape`, differenced into per-shard update *rates*.
     /// Shared across connections so rates survive client reconnects.
     scrape: Mutex<HashMap<String, (Vec<u64>, Instant)>>,
+    serve: ServeHistograms,
+}
+
+/// `asgd_net_serve_latency_ns` and `asgd_net_serve_staleness`, resolved
+/// once per server rather than on every executed request.
+#[derive(Debug)]
+struct ServeHistograms {
+    latency: Arc<StripedHistogram>,
+    staleness: Arc<StripedHistogram>,
+}
+
+impl Default for ServeHistograms {
+    fn default() -> Self {
+        let telemetry = asgd_telemetry::global();
+        Self {
+            latency: telemetry.histogram("asgd_net_serve_latency_ns"),
+            staleness: telemetry.histogram("asgd_net_serve_staleness"),
+        }
+    }
 }
 
 /// A point-in-time statistics snapshot of a running server.
@@ -524,9 +544,8 @@ impl Connection {
     /// transition edge. Both paths are a handful of relaxed atomic adds —
     /// cheap enough to run unconditionally.
     fn observe_execution(&self, response: &Response, elapsed: Duration) {
-        let telemetry = asgd_telemetry::global();
         let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        telemetry.histogram("asgd_net_serve_latency_ns").record(ns);
+        self.counters.serve.latency.record(ns);
         if let Response::Score {
             staleness: Some(s), ..
         }
@@ -534,7 +553,7 @@ impl Connection {
             staleness: Some(s), ..
         } = response
         {
-            telemetry.histogram("asgd_net_serve_staleness").record(*s);
+            self.counters.serve.staleness.record(*s);
         }
         // `retier` runs inside `record`, so the freshest tier is visible
         // here; the swap makes exactly one thread own each edge.

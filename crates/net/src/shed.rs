@@ -1,8 +1,9 @@
 //! SLO-based load shedding.
 //!
-//! The server tracks the rolling p99 of *executed* request latencies in an
-//! [`SlidingHistogram`] (a count-rotated
-//! window, so old overload decays as fresh traffic arrives) and compares
+//! The server tracks the rolling p99 of *executed* request latencies in a
+//! count-rotated window of [`Histogram`] slots (so old overload decays as
+//! fresh traffic arrives; see the histogram's
+//! [precision](asgd_metrics::histogram#precision) notes) and compares
 //! it against a latency objective. Tiers are evaluated at the *shed
 //! trigger* — the SLO scaled by [`SloPolicy::trigger_ratio`] — so an
 //! operator can shed early enough that the declared objective itself
@@ -34,7 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use asgd_metrics::SlidingHistogram;
+use asgd_metrics::Histogram;
 
 use crate::protocol::Priority;
 
@@ -60,9 +61,9 @@ pub struct SloPolicy {
     /// (engage and release at the same point); values outside `(0, 1]`
     /// are treated as `1.0`.
     pub release_ratio: f64,
-    /// Number of rotation buckets in the rolling window.
+    /// Number of rotation slots in the rolling window.
     pub window_buckets: usize,
-    /// Executed requests per bucket before the window rotates.
+    /// Executed requests per slot before the window rotates.
     pub bucket_capacity: u64,
     /// Minimum executed requests in the window before the shedder trusts
     /// its p99 estimate (cold-start guard: a handful of slow warm-up
@@ -108,20 +109,62 @@ pub enum Verdict {
     },
 }
 
+/// The rolling window: a ring of [`Histogram`] slots rotated by
+/// observation count (not wall time, which keeps it deterministic and
+/// unit-testable), plus their running total. After `slot_capacity` pushes
+/// to one slot the oldest slot is evicted wholesale, so the window always
+/// covers the last `(slots−1)·slot_capacity + 1 ..= slots·slot_capacity`
+/// observations.
+#[derive(Debug)]
+struct Window {
+    slots: Vec<Histogram>,
+    current: usize,
+    slot_capacity: u64,
+    /// The merge of every slot: what the p99 is read from.
+    total: Histogram,
+}
+
+impl Window {
+    /// Both geometry arguments are clamped to at least 1 (a zero-capacity
+    /// window could never hold an observation).
+    fn new(slots: usize, slot_capacity: u64) -> Self {
+        Self {
+            slots: vec![Histogram::new(); slots.max(1)],
+            current: 0,
+            slot_capacity: slot_capacity.max(1),
+            total: Histogram::new(),
+        }
+    }
+
+    /// Records one observation, evicting the oldest slot first if the
+    /// current one is full. Eviction re-merges the live slots, which keeps
+    /// the total's min and max exact.
+    fn push(&mut self, value: u64) {
+        if self.slots[self.current].total() >= self.slot_capacity {
+            self.current = (self.current + 1) % self.slots.len();
+            self.slots[self.current] = Histogram::new();
+            self.total = Histogram::new();
+            for slot in &self.slots {
+                self.total.merge(slot);
+            }
+        }
+        self.slots[self.current].push(value);
+        self.total.push(value);
+    }
+}
+
 /// Rolling-p99 load shedder shared by every connection thread.
 ///
 /// The hot path ([`LoadShedder::verdict`]) is a single relaxed atomic
-/// load of the cached p99 — the histogram mutex is only taken when
-/// recording a completed request, and the p99 is re-derived at most once
-/// per [`refresh_stride`](SloPolicy::bucket_capacity) recordings.
+/// load of the cached p99 — the window mutex is only taken when recording
+/// a completed request, and the p99 is re-derived at most once every
+/// `bucket_capacity / 8` recordings (see [`SloPolicy::bucket_capacity`]).
 #[derive(Debug)]
 pub struct LoadShedder {
     policy: SloPolicy,
-    window: Mutex<SlidingHistogram>,
+    window: Mutex<Window>,
     /// Cached rolling p99 in ns; 0 = "no estimate yet".
     p99_ns: AtomicU64,
-    /// Executed requests recorded since the last p99 refresh.
-    since_refresh: AtomicU64,
     /// Refresh the cached p99 every this many recordings.
     refresh_stride: u64,
     /// Cached shedding tier: 0 healthy, 1 degraded (shed Low), 2
@@ -138,16 +181,15 @@ impl LoadShedder {
     /// A shedder with the given policy.
     #[must_use]
     pub fn new(policy: SloPolicy) -> Self {
-        let window = SlidingHistogram::new(policy.window_buckets, policy.bucket_capacity);
-        // Re-deriving quantiles is O(buckets × bins); a stride of 1/8 of a
-        // bucket keeps the estimate fresh (sub-bucket granularity) while
-        // amortising the scan.
+        let window = Window::new(policy.window_buckets, policy.bucket_capacity);
+        // Re-deriving the p99 walks the window total's buckets up from its
+        // min; a stride of 1/8 of a slot keeps the estimate fresh
+        // (sub-slot granularity) while amortising the walk.
         let refresh_stride = (policy.bucket_capacity / 8).max(1);
         Self {
             policy,
             window: Mutex::new(window),
             p99_ns: AtomicU64::new(0),
-            since_refresh: AtomicU64::new(0),
             refresh_stride,
             tier: AtomicU8::new(0),
             transitions: AtomicU64::new(0),
@@ -254,15 +296,13 @@ impl LoadShedder {
     /// Records the latency of one *executed* request and periodically
     /// refreshes the cached p99. Shed requests must not be recorded.
     pub fn record(&self, latency: Duration) {
-        self.executed_total.fetch_add(1, Ordering::Relaxed);
+        let n = self.executed_total.fetch_add(1, Ordering::Relaxed) + 1;
         let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
         let mut window = lock_recovered(&self.window);
         window.push(ns);
-        let n = self.since_refresh.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.refresh_stride {
-            self.since_refresh.store(0, Ordering::Relaxed);
-            let p99 = if window.len() >= self.policy.min_samples {
-                window.quantile(0.99).unwrap_or(0)
+        if n.is_multiple_of(self.refresh_stride) {
+            let p99 = if window.total.total() >= self.policy.min_samples {
+                window.total.quantile(0.99).unwrap_or(0)
             } else {
                 0
             };
@@ -312,6 +352,64 @@ mod tests {
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
+    }
+
+    fn capacity(w: &Window) -> u64 {
+        w.slots.len() as u64 * w.slot_capacity
+    }
+
+    #[test]
+    fn window_geometry_is_clamped() {
+        let w = Window::new(0, 0);
+        assert_eq!(capacity(&w), 1);
+        let w = Window::new(4, 128);
+        assert_eq!(capacity(&w), 512);
+        assert_eq!(w.total.total(), 0);
+        assert_eq!(w.total.percentiles(), None);
+        assert_eq!(w.total.quantile(0.99), None);
+    }
+
+    #[test]
+    fn window_without_eviction_matches_a_plain_histogram() {
+        let mut w = Window::new(4, 100);
+        let mut h = Histogram::new();
+        for v in 0..300 {
+            w.push(v);
+            h.push(v);
+        }
+        assert_eq!(w.total.total(), 300);
+        assert_eq!(w.total, h);
+    }
+
+    #[test]
+    fn old_observations_are_evicted_by_count() {
+        // Fill the whole ring with slow observations, then push fast ones:
+        // after `capacity` fast pushes every slow sample has been evicted
+        // and the p99 recovers. A cumulative histogram never would.
+        let mut w = Window::new(4, 50);
+        for _ in 0..capacity(&w) {
+            w.push(1_000_000);
+        }
+        assert_eq!(w.total.quantile(0.99), Some(1_000_000));
+        for _ in 0..capacity(&w) {
+            w.push(10);
+        }
+        assert_eq!(w.total.quantile(0.99), Some(10), "spike fully forgotten");
+        assert!(w.total.total() <= capacity(&w));
+    }
+
+    #[test]
+    fn eviction_is_wholesale_per_slot() {
+        // 2 slots × 2: the 5th push evicts observations 1 and 2 together.
+        let mut w = Window::new(2, 2);
+        for v in [1, 2, 3, 4] {
+            w.push(v);
+        }
+        assert_eq!(w.total.min(), Some(1));
+        w.push(5);
+        assert_eq!(w.total.min(), Some(3), "oldest slot evicted wholesale");
+        assert_eq!(w.total.total(), 3);
+        assert_eq!(w.total, Histogram::from_iter([3, 4, 5]));
     }
 
     fn saturate(shedder: &LoadShedder, latency: Duration, n: u64) {

@@ -410,10 +410,10 @@ impl NetReport {
 struct ClientTally {
     priority: Priority,
     sent: u64,
-    answered: u64,
     shed: u64,
     errors: u64,
     lost: u64,
+    /// Answered requests' latencies; its count is the answered count.
     latency_ns: Histogram,
 }
 
@@ -422,7 +422,6 @@ impl ClientTally {
         Self {
             priority,
             sent: 0,
-            answered: 0,
             shed: 0,
             errors: 0,
             lost: 0,
@@ -430,15 +429,22 @@ impl ClientTally {
         }
     }
 
+    /// Folds another tally's counts and latencies into this one.
+    fn absorb(&mut self, other: &ClientTally) {
+        self.sent += other.sent;
+        self.shed += other.shed;
+        self.errors += other.errors;
+        self.lost += other.lost;
+        self.latency_ns.merge(&other.latency_ns);
+    }
+
     fn classify(&mut self, response: &Response, latency: Duration) {
         match response {
             Response::Shed { .. } => self.shed += 1,
             Response::Error { .. } => self.errors += 1,
-            _ => {
-                self.answered += 1;
-                self.latency_ns
-                    .push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
-            }
+            _ => self
+                .latency_ns
+                .push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX)),
         }
     }
 }
@@ -523,64 +529,51 @@ pub fn run_net_workload(
     });
     let duration_secs = started.elapsed().as_secs_f64();
 
-    let mut per_class: Vec<(Priority, ClientTally)> = Priority::all()
+    let mut per_class: Vec<ClientTally> = Priority::all()
         .iter()
-        .map(|&p| (p, ClientTally::new(p)))
+        .map(|&p| ClientTally::new(p))
         .collect();
-    let mut all_latency = Histogram::new();
+    let mut all = ClientTally::new(Priority::Normal); // every class; priority unused
     for tally in tallies {
         let tally = tally?;
-        let slot = &mut per_class
+        per_class
             .iter_mut()
-            .find(|(p, _)| *p == tally.priority)
+            .find(|t| t.priority == tally.priority)
             .expect("every priority has a slot")
-            .1;
-        slot.sent += tally.sent;
-        slot.answered += tally.answered;
-        slot.shed += tally.shed;
-        slot.errors += tally.errors;
-        slot.lost += tally.lost;
-        slot.latency_ns.merge(&tally.latency_ns);
-        all_latency.merge(&tally.latency_ns);
+            .absorb(&tally);
+        all.absorb(&tally);
     }
-    let (mut sent, mut answered, mut shed, mut errors, mut lost) = (0, 0, 0, 0, 0);
     let classes: Vec<ClassReport> = per_class
         .iter()
-        .filter(|(_, t)| t.sent > 0)
-        .map(|(p, t)| {
-            sent += t.sent;
-            answered += t.answered;
-            shed += t.shed;
-            errors += t.errors;
-            lost += t.lost;
-            ClassReport {
-                priority: p.label().to_string(),
-                sent: t.sent,
-                answered: t.answered,
-                shed: t.shed,
-                errors: t.errors,
-                lost: t.lost,
-                latency: LatencySummary::from_histogram(&t.latency_ns),
-            }
+        .filter(|t| t.sent > 0)
+        .map(|t| ClassReport {
+            priority: t.priority.label().to_string(),
+            sent: t.sent,
+            answered: t.latency_ns.total(),
+            shed: t.shed,
+            errors: t.errors,
+            lost: t.lost,
+            latency: LatencySummary::from_histogram(&t.latency_ns),
         })
         .collect();
+    let answered = all.latency_ns.total();
     Ok(NetReport {
         clients: spec.clients,
         arrival: spec.arrival.label(),
         op: spec.op.label().to_string(),
         models: spec.models.len(),
         duration_secs,
-        sent,
+        sent: all.sent,
         answered,
-        shed,
-        errors,
-        lost,
+        shed: all.shed,
+        errors: all.errors,
+        lost: all.lost,
         qps: if duration_secs > 0.0 {
             answered as f64 / duration_secs
         } else {
             0.0
         },
-        latency: LatencySummary::from_histogram(&all_latency),
+        latency: LatencySummary::from_histogram(&all.latency_ns),
         classes,
     })
 }
@@ -640,7 +633,6 @@ fn open_loop_client(
     let interval = Duration::from_secs_f64(1.0 / qps);
     let (tx, rx) = mpsc::channel::<Instant>();
 
-    let mut tally = ClientTally::new(priority);
     let (sent, reader_tally) = std::thread::scope(|scope| {
         let reader = scope.spawn(move || {
             let mut tally = ClientTally::new(priority);
@@ -696,13 +688,10 @@ fn open_loop_client(
         drop(tx); // reader drains the queue, then returns
         (sent, reader.join().expect("reader thread panicked"))
     });
-    tally.sent = sent;
-    tally.answered = reader_tally.answered;
-    tally.shed = reader_tally.shed;
-    tally.errors = reader_tally.errors;
-    tally.lost = reader_tally.lost;
-    tally.latency_ns = reader_tally.latency_ns;
-    Ok(tally)
+    Ok(ClientTally {
+        sent,
+        ..reader_tally
+    })
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@ use asgd_driver::report::{field, field_f64, field_str, field_u64};
 use asgd_driver::{DecodeError, RunReport};
 use asgd_metrics::Histogram;
 
-/// Latency telemetry of one serving run, in nanoseconds. Percentiles are
-/// exact observed values extracted from the merged per-client histograms
-/// (`0` everywhere when no query ran).
+/// Latency telemetry of one serving run, in nanoseconds. Percentiles come
+/// from the merged per-client [`Histogram`]s (see its
+/// [precision](asgd_metrics::histogram#precision) notes; `0` everywhere
+/// when no query ran); count, mean and max are exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencySummary {
     /// Queries measured.
@@ -332,7 +333,7 @@ mod tests {
         assert_eq!(lat.p999_ns, 0);
         assert_eq!(lat.mean_ns, 0.0);
         assert_eq!(StalenessSummary::from_histogram(&empty), None);
-        let one = Histogram::from_values(&[42]);
+        let one = Histogram::from_iter([42]);
         let s = StalenessSummary::from_histogram(&one).unwrap();
         assert_eq!((s.samples, s.p50, s.max), (1, 42, 42));
     }

@@ -173,11 +173,11 @@ impl QueryClient {
     }
 }
 
-/// Per-client telemetry folded into the final [`ServeReport`].
+/// Per-client telemetry folded into the final [`ServeReport`]; the
+/// latency histogram's count is the client's query count.
 struct ClientStats {
     latency_ns: Histogram,
     staleness: Histogram,
-    queries: u64,
 }
 
 /// Drives `spec.clients` concurrent clients against `service` for the
@@ -216,7 +216,6 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
                     let mut stats = ClientStats {
                         latency_ns: Histogram::new(),
                         staleness: Histogram::new(),
-                        queries: 0,
                     };
                     let mut next_tick = Instant::now();
                     loop {
@@ -242,7 +241,6 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
                         if let Some(staleness) = outcome.staleness {
                             stats.staleness.push(staleness);
                         }
-                        stats.queries += 1;
                         // Keep the computed value observable in release
                         // builds: without this, snapshot-mode scoring
                         // (plain Vec reads, no side effects) could be
@@ -262,12 +260,11 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
 
     let mut latency_ns = Histogram::new();
     let mut staleness = Histogram::new();
-    let mut queries = 0;
     for s in &stats {
         latency_ns.merge(&s.latency_ns);
         staleness.merge(&s.staleness);
-        queries += s.queries;
     }
+    let queries = latency_ns.total();
     Ok(ServeReport {
         mode: spec.mode.label().to_string(),
         query: spec.query.label().to_string(),

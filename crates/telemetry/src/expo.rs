@@ -4,33 +4,46 @@
 //! The renderer emits the subset of the text format scrapers understand —
 //! `# TYPE` comments, one sample per line, histogram `_bucket{le=…}` /
 //! `_sum` / `_count` series — plus one leading comment carrying the
-//! snapshot's coherence flag. The parser inverts it exactly: for every
-//! snapshot, `parse(render(s)) == s` (a registry-wide property test), so a
-//! scrape is a lossless transport of the registry state, not a lossy
-//! pretty-print. `f64` gauges round-trip through Rust's shortest-exact
-//! `Display` / `parse` pair.
+//! snapshot's coherence flag. A histogram's `le` bounds are the inclusive
+//! upper bounds of its non-empty [`Histogram`] buckets (so every value
+//! below 64 reads exactly), and two extra samples, `_min` and `_max`, carry
+//! its exact extremes; other scrapers read them as untyped series. The
+//! parser inverts it exactly: for every snapshot, `parse(render(s)) == s`
+//! (a registry-wide property test), so a scrape is a lossless transport of
+//! the registry state, not a lossy pretty-print. `f64` gauges round-trip
+//! through Rust's shortest-exact `Display` / `parse` pair.
 
-use crate::registry::{HistogramSnapshot, MetricsSnapshot};
+use std::fmt::Write;
+
+use asgd_metrics::histogram::{bucket_bounds, bucket_of, Histogram, BUCKETS};
+
+use crate::registry::MetricsSnapshot;
 
 /// Renders a snapshot in Prometheus text exposition format.
 #[must_use]
 pub fn render(snap: &MetricsSnapshot) -> String {
+    // Writing into a `String` cannot fail.
     let mut out = String::new();
-    out.push_str(&format!("# asgd-telemetry coherent={}\n", snap.coherent));
+    let _ = writeln!(out, "# asgd-telemetry coherent={}", snap.coherent);
     for (name, v) in &snap.counters {
-        out.push_str(&format!("# TYPE {} counter\n{name} {v}\n", base_name(name)));
+        let _ = writeln!(out, "# TYPE {} counter\n{name} {v}", base_name(name));
     }
     for (name, v) in &snap.gauges {
-        out.push_str(&format!("# TYPE {} gauge\n{name} {v}\n", base_name(name)));
+        let _ = writeln!(out, "# TYPE {} gauge\n{name} {v}", base_name(name));
     }
     for (name, h) in &snap.histograms {
-        out.push_str(&format!("# TYPE {} histogram\n", base_name(name)));
-        for &(le, cum) in &h.buckets {
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
+        let _ = writeln!(out, "# TYPE {} histogram", base_name(name));
+        let (mut cum, count) = (0, h.total());
+        for (i, n) in h.iter().filter(|&(i, _)| i < BUCKETS - 1) {
+            cum += n;
+            let le = bucket_bounds(i).1;
+            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
         }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{name}_sum {}\n", h.sum));
-        out.push_str(&format!("{name}_count {}\n", h.count));
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+        let _ = writeln!(out, "{name}_sum {}\n{name}_count {count}", h.sum());
+        if let (Some(min), Some(max)) = (h.min(), h.max()) {
+            let _ = writeln!(out, "{name}_min {min}\n{name}_max {max}");
+        }
     }
     out
 }
@@ -61,24 +74,90 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// A histogram under assembly from its series.
+#[derive(Default)]
+struct OpenHist {
+    name: String,
+    /// `(bucket, cumulative count)` per finite `le`, in line order.
+    cums: Vec<(usize, u64)>,
+    count: Option<u64>,
+    sum: u128,
+    min: Option<u64>,
+    max: Option<u64>,
+}
+
+impl OpenHist {
+    /// Folds in one sample; `series` is an `le` bound or a series suffix.
+    fn apply(&mut self, series: &str, value: &str) -> Result<(), &'static str> {
+        let int = || value.parse::<u64>().map_err(|_| "bad histogram sample");
+        match series {
+            "_sum" => self.sum = value.parse().map_err(|_| "bad histogram sample")?,
+            "_min" => self.min = Some(int()?),
+            "_max" => self.max = Some(int()?),
+            "_count" | "+Inf" => {
+                let n = int()?;
+                if self.count.is_some_and(|c| c != n) {
+                    return Err("+Inf bucket disagrees with _count");
+                }
+                self.count = Some(n);
+            }
+            le => {
+                let le = le.parse().map_err(|_| "bad bucket bound")?;
+                let i = bucket_of(le);
+                if i == BUCKETS - 1 || bucket_bounds(i).1 != le {
+                    return Err("le is not a bucket bound");
+                }
+                self.cums.push((i, int()?));
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the assembled histogram to `out`, once its cumulative
+    /// counts check out.
+    fn finish(self, out: &mut Vec<(String, Histogram)>) -> Result<(), &'static str> {
+        let mut counts = vec![0; BUCKETS];
+        let (mut last, mut below) = (None, 0);
+        for (i, cum) in self.cums {
+            if last >= Some(i) {
+                return Err("bucket bounds out of order");
+            }
+            counts[i] = cum.checked_sub(below).ok_or("cumulative count fell")?;
+            (last, below) = (Some(i), cum);
+        }
+        let total = self.count.unwrap_or(below);
+        counts[BUCKETS - 1] = total.checked_sub(below).ok_or("cumulative count fell")?;
+        let h = match (self.min, self.max) {
+            _ if total == 0 => Histogram::new(),
+            (Some(min), Some(max)) if min <= max => {
+                Histogram::from_parts(counts, self.sum, min, max)
+            }
+            _ => return Err("non-empty histogram without an ordered _min and _max"),
+        };
+        out.push((self.name, h));
+        Ok(())
+    }
+}
+
 /// Parses exposition text produced by [`render`] back into a snapshot.
 ///
 /// # Errors
 ///
 /// [`ParseError`] on any line that is neither a comment nor a well-formed
-/// sample, on out-of-order histogram series, and on unparseable numbers.
+/// sample, on out-of-order or inconsistent histogram series, on an `le`
+/// that is not a [`Histogram`] bucket bound, and on unparseable numbers.
 pub fn parse(text: &str) -> Result<MetricsSnapshot, ParseError> {
     let mut snap = MetricsSnapshot::default();
     // name → declared type, from # TYPE lines.
     let mut types = std::collections::BTreeMap::new();
-    // Histogram under assembly: (full name, state).
-    let mut open_hist: Option<(String, HistogramSnapshot)> = None;
+    let mut open: Option<OpenHist> = None;
     let err = |line: usize, message: &str| ParseError {
         line,
         message: message.to_string(),
     };
+    let mut lineno = 0;
     for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
+        lineno = i + 1;
         let line = raw.trim();
         if line.is_empty() {
             continue;
@@ -106,54 +185,34 @@ pub fn parse(text: &str) -> Result<MetricsSnapshot, ParseError> {
         };
         let (name, value) = (line[..split_at].trim_end(), line[split_at + 1..].trim());
         let series_kind = |name: &str| types.get(base_name(name)).map(String::as_str);
-        // Histogram series are recognised by suffix against a declared
-        // histogram base name.
-        if let Some((base, le)) = bucket_series(name) {
+        // `_sum`, `_count`, `_min` and `_max` name a histogram series only
+        // under a histogram TYPE; any other name ending so is a plain sample.
+        let hist = hist_series(name).filter(|&(base, series)| {
+            !series.starts_with('_') || series_kind(base) == Some("histogram")
+        });
+        if let Some((base, series)) = hist {
             if series_kind(base) != Some("histogram") {
                 return Err(err(lineno, "bucket series without a histogram TYPE"));
             }
-            let cum: u64 = value.parse().map_err(|_| err(lineno, "bad bucket count"))?;
-            if !matches!(&open_hist, Some((open, _)) if open == base) {
-                finish_hist(&mut snap, &mut open_hist);
-                open_hist = Some((base.to_string(), HistogramSnapshot::default()));
+            // A bucket line for another histogram starts it; every other
+            // series belongs to the histogram whose buckets came before.
+            if !series.starts_with('_') && open.as_ref().is_none_or(|h| h.name != base) {
+                let name = base.to_string();
+                if let Some(h) = open.replace(OpenHist {
+                    name,
+                    ..OpenHist::default()
+                }) {
+                    h.finish(&mut snap.histograms).map_err(|m| err(lineno, m))?;
+                }
             }
-            let (_, hist) = open_hist.as_mut().expect("just ensured open");
-            match le {
-                None => hist.count = cum, // the +Inf bucket is the count
-                Some(le) => hist.buckets.push((le, cum)),
-            }
+            let Some(h) = open.as_mut().filter(|h| h.name == base) else {
+                return Err(err(lineno, "histogram series before its buckets"));
+            };
+            h.apply(series, value).map_err(|m| err(lineno, m))?;
             continue;
         }
-        if let Some(base) = name
-            .strip_suffix("_sum")
-            .filter(|b| series_kind(b) == Some("histogram"))
-        {
-            let Some((open, h)) = &mut open_hist else {
-                return Err(err(lineno, "_sum before its buckets"));
-            };
-            if open != base {
-                return Err(err(lineno, "_sum for a different histogram"));
-            }
-            h.sum = value
-                .parse()
-                .map_err(|_| err(lineno, "bad histogram sum"))?;
-            continue;
-        }
-        if let Some(base) = name
-            .strip_suffix("_count")
-            .filter(|b| series_kind(b) == Some("histogram"))
-        {
-            let Some((open, h)) = &mut open_hist else {
-                return Err(err(lineno, "_count before its buckets"));
-            };
-            if open != base {
-                return Err(err(lineno, "_count for a different histogram"));
-            }
-            h.count = value
-                .parse()
-                .map_err(|_| err(lineno, "bad histogram count"))?;
-            finish_hist(&mut snap, &mut open_hist);
-            continue;
+        if let Some(h) = open.take() {
+            h.finish(&mut snap.histograms).map_err(|m| err(lineno, m))?;
         }
         match series_kind(name) {
             Some("counter") => {
@@ -169,25 +228,22 @@ pub fn parse(text: &str) -> Result<MetricsSnapshot, ParseError> {
             Some(_) | None => return Err(err(lineno, "sample without a known TYPE")),
         }
     }
-    finish_hist(&mut snap, &mut open_hist);
+    if let Some(h) = open {
+        h.finish(&mut snap.histograms).map_err(|m| err(lineno, m))?;
+    }
     Ok(snap)
 }
 
-/// Splits a `_bucket{le="…"}` series into its base name and bound
-/// (`None` = the `+Inf` bucket). Returns `None` for non-bucket series.
-fn bucket_series(name: &str) -> Option<(&str, Option<u64>)> {
-    let (base, rest) = name.split_once("_bucket{le=\"")?;
-    let le = rest.strip_suffix("\"}")?;
-    if le == "+Inf" {
-        return Some((base, None));
+/// Splits a histogram series name into its base name and series: the
+/// `le` of a `_bucket{le="…"}` line, or the `_sum`, `_count`, `_min` or
+/// `_max` suffix.
+fn hist_series(name: &str) -> Option<(&str, &str)> {
+    if let Some((base, rest)) = name.split_once("_bucket{le=\"") {
+        return Some((base, rest.strip_suffix("\"}")?));
     }
-    le.parse::<u64>().ok().map(|b| (base, Some(b)))
-}
-
-fn finish_hist(snap: &mut MetricsSnapshot, open: &mut Option<(String, HistogramSnapshot)>) {
-    if let Some((name, h)) = open.take() {
-        snap.histograms.push((name, h));
-    }
+    ["_sum", "_count", "_min", "_max"]
+        .into_iter()
+        .find_map(|suffix| Some((name.strip_suffix(suffix)?, suffix)))
 }
 
 #[cfg(test)]
@@ -210,11 +266,7 @@ mod tests {
             ],
             histograms: vec![(
                 "asgd_serve_latency_ns".to_string(),
-                HistogramSnapshot {
-                    buckets: vec![(1024, 2), (4096, 5)],
-                    count: 7,
-                    sum: 12345,
-                },
+                Histogram::from_iter([3, 1000, 1000, 4000, 4000, 4000, 1 << 50]),
             )],
         }
     }
@@ -227,10 +279,16 @@ mod tests {
         assert!(text.contains("asgd_net_accepted_total 12"));
         assert!(text.contains("# TYPE asgd_shard_updates counter"));
         assert!(text.contains("asgd_shard_updates{model=\"m\",shard=\"0\"} 900"));
-        assert!(text.contains("asgd_serve_latency_ns_bucket{le=\"1024\"} 2"));
-        assert!(text.contains("asgd_serve_latency_ns_bucket{le=\"+Inf\"} 7"));
-        assert!(text.contains("asgd_serve_latency_ns_sum 12345"));
-        assert!(text.contains("asgd_serve_latency_ns_count 7"));
+        // Values below 64 read exactly; 1000 and 4000 land in the
+        // sub-buckets 992..=1007 and 3968..=4031; 2^50 only in +Inf.
+        assert!(text.contains("asgd_serve_latency_ns_bucket{le=\"3\"} 1\n"));
+        assert!(text.contains("asgd_serve_latency_ns_bucket{le=\"1007\"} 3\n"));
+        assert!(text.contains("asgd_serve_latency_ns_bucket{le=\"4031\"} 6\n"));
+        assert!(text.contains("asgd_serve_latency_ns_bucket{le=\"+Inf\"} 7\n"));
+        assert!(text.contains("asgd_serve_latency_ns_sum 1125899906856627\n"));
+        assert!(text.contains("asgd_serve_latency_ns_count 7\n"));
+        assert!(text.contains("asgd_serve_latency_ns_min 3\n"));
+        assert!(text.contains("asgd_serve_latency_ns_max 1125899906842624\n"));
         assert!(text.contains("asgd_net_shed_tier 1.5"));
     }
 
@@ -258,10 +316,47 @@ mod tests {
             "_sum before buckets"
         );
         assert!(parse("# TYPE x counter\nx\n").is_err(), "no value");
-        // Unknown comments are fine.
+        // Unknown comments are fine, and so are plain samples whose names
+        // merely end like histogram series.
         assert_eq!(
             parse("# HELP x whatever\n").unwrap(),
             MetricsSnapshot::default()
+        );
+        assert_eq!(
+            parse("# TYPE x_count counter\nx_count 2\n")
+                .unwrap()
+                .counters,
+            vec![("x_count".to_string(), 2)]
+        );
+    }
+
+    #[test]
+    fn parse_rejects_histograms_render_never_writes() {
+        let parse_err = |body: &str| {
+            parse(&format!("# TYPE h histogram\n{body}"))
+                .map(|_| ())
+                .expect_err(body)
+        };
+        let e = parse_err("h_bucket{le=\"1000\"} 1\n");
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "le is not a bucket bound")
+        );
+        let e = parse_err("h_bucket{le=\"7\"} 2\nh_bucket{le=\"5\"} 3\n");
+        assert_eq!(e.message, "bucket bounds out of order");
+        let e = parse_err("h_bucket{le=\"5\"} 2\nh_bucket{le=\"7\"} 1\n");
+        assert_eq!(e.message, "cumulative count fell");
+        let e = parse_err("h_bucket{le=\"5\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_count 3\n");
+        assert_eq!(e.message, "+Inf bucket disagrees with _count");
+        let e = parse_err("h_bucket{le=\"5\"} 2\nh_count 2\n");
+        assert_eq!(
+            e.message,
+            "non-empty histogram without an ordered _min and _max"
+        );
+        let e = parse_err("h_bucket{le=\"5\"} 2\nh_count 2\nh_min 5\nh_max 4\n");
+        assert_eq!(
+            e.message,
+            "non-empty histogram without an ordered _min and _max"
         );
     }
 }

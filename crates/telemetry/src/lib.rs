@@ -26,6 +26,11 @@
 //! 3. **Exposition is lossless.** `parse(render(snapshot)) == snapshot` for
 //!    every snapshot (property-tested below), so a scrape is a transport of
 //!    the registry state, not a lossy pretty-print.
+//! 4. **One histogram.** A [`StripedHistogram`] stripes the log-linear
+//!    buckets of [`Histogram`](asgd_metrics::Histogram) over its cells, and
+//!    [`MetricsRegistry::snapshot`] and [`parse`] hand back that plain
+//!    `Histogram`, so a scraped quantile means what a bench report's does
+//!    (see its [precision](asgd_metrics::histogram#precision) notes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,14 +41,15 @@ pub mod trace;
 
 pub use expo::{parse, render, ParseError};
 pub use registry::{
-    global, thread_stripe, Counter, Gauge, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    TelemetryHistogram, BUCKET_COUNT, STRIPES,
+    global, thread_stripe, Counter, Gauge, MetricsRegistry, MetricsSnapshot, StripedHistogram,
+    STRIPES,
 };
 pub use trace::{replay, FieldValue, Span, TraceSink};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use asgd_metrics::Histogram;
     use proptest::prelude::*;
 
     /// A plausible metric name, optionally label-suffixed.
@@ -58,32 +64,14 @@ mod proptests {
         })
     }
 
-    fn histogram_strategy() -> impl Strategy<Value = HistogramSnapshot> {
-        (
-            proptest::collection::vec((0_u64..30, 1_u64..1000), 0..6),
-            0_u64..1_000_000,
-        )
-            .prop_map(|(raw, sum)| {
-                // Strictly increasing bounds with monotone cumulative counts.
-                let mut bounds: Vec<u64> = raw.iter().map(|&(b, _)| 1 << b).collect();
-                bounds.sort_unstable();
-                bounds.dedup();
-                let mut cum = 0;
-                let buckets: Vec<(u64, u64)> = bounds
-                    .into_iter()
-                    .zip(raw.iter())
-                    .map(|(le, &(_, c))| {
-                        cum += c;
-                        (le, cum)
-                    })
-                    .collect();
-                let count = buckets.last().map_or(0, |&(_, c)| c);
-                HistogramSnapshot {
-                    buckets,
-                    count,
-                    sum,
-                }
-            })
+    /// A histogram recorded from 0–40 values, each from one of three
+    /// scales, so snapshots mix exact, sub-bucketed and overflow buckets.
+    fn histogram_strategy() -> impl Strategy<Value = Histogram> {
+        proptest::collection::vec((0_u64..3, any::<u64>()), 0..40).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(scale, r)| r >> [58, 24, 0][scale as usize])
+                .collect()
+        })
     }
 
     /// Gauge values from the full finite f64 grid Rust's `Display` renders

@@ -1,5 +1,5 @@
 //! The lock-free [`MetricsRegistry`]: monotone counters, gauges, and
-//! bucketed histograms with cache-line-padded per-thread cells.
+//! [`Histogram`]s, all with cache-line-padded per-thread cells.
 //!
 //! Hot-path updates never take a lock: every thread is assigned a stripe
 //! once (a process-wide monotone id, folded modulo [`STRIPES`]) and bumps
@@ -11,7 +11,7 @@
 //! lock-free.
 //!
 //! Collection is *validated*: [`MetricsRegistry::snapshot`] double-collects
-//! every monotone progress cell (counter stripes and histogram counts) and
+//! every monotone cell (counter stripes and every histogram cell) and
 //! only flags the snapshot `coherent` when two consecutive collects agree —
 //! the registry-wide generalisation of
 //! `ShardedModel::coherent_update_counts`, model-checked in `asgd-chaos`
@@ -20,6 +20,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+use asgd_metrics::histogram::{bucket_of, Histogram, BUCKETS};
 
 /// Number of padded cells each counter/histogram stripes its updates over.
 /// Threads beyond this many share cells (correctness is unaffected — cells
@@ -91,28 +93,14 @@ impl Counter {
             self.add(v - now);
         }
     }
-
-    /// Appends every stripe cell's value to `out` (the monotone progress
-    /// cells a validated registry collect re-reads).
-    fn collect_cells(&self, out: &mut Vec<u64>) {
-        out.extend(self.cells.iter().map(|c| c.0.load(Ordering::Acquire)));
-    }
 }
 
 /// A last-write-wins gauge holding one `f64` (stored as IEEE-754 bits in an
 /// `AtomicU64`). Gauges move both ways, so they carry no stripes and take
-/// no part in coherence validation.
-#[derive(Debug)]
+/// no part in coherence validation. All-zero bits are `0.0`.
+#[derive(Debug, Default)]
 pub struct Gauge {
     bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self {
-            bits: AtomicU64::new(0.0_f64.to_bits()),
-        }
-    }
 }
 
 impl Gauge {
@@ -129,74 +117,76 @@ impl Gauge {
     }
 }
 
-/// Power-of-two bucket upper bounds: `1, 2, 4, …, 2^(BUCKET_COUNT-1)`, with
-/// an implicit `+Inf` overflow bucket. 48 doublings cover 1 ns to ~3.3 days
-/// in nanoseconds — every latency this runtime can plausibly record.
-pub const BUCKET_COUNT: usize = 48;
-
-/// Per-stripe histogram cells: bucket counts plus sum/count, each stripe a
-/// separate allocation so writers never share lines.
+/// One stripe of a [`StripedHistogram`]: the sum, min and max on a cache
+/// line of their own, then one counter per [`Histogram`] bucket.
+#[repr(align(64))]
 #[derive(Debug)]
 struct HistStripe {
-    buckets: Box<[AtomicU64; BUCKET_COUNT + 1]>,
-    sum: AtomicU64,
-    count: AtomicU64,
+    head: StripeHead,
+    buckets: [AtomicU64; BUCKETS],
 }
 
-impl Default for HistStripe {
-    fn default() -> Self {
-        Self {
-            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A lock-free bucketed histogram over `u64` observations (latencies in
-/// nanoseconds, staleness in iterations). Buckets are fixed powers of two
-/// ([`BUCKET_COUNT`] of them plus overflow), so `record` is a
-/// `leading_zeros` and three relaxed adds on the caller's stripe.
+#[repr(align(64))]
 #[derive(Debug)]
-pub struct TelemetryHistogram {
-    stripes: [HistStripe; STRIPES],
+struct StripeHead {
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
-impl Default for TelemetryHistogram {
+/// A lock-free [`Histogram`] over `u64` observations (latencies in
+/// nanoseconds, staleness in iterations): the same log-linear buckets
+/// (see its [precision](asgd_metrics::histogram#precision) notes), striped
+/// over [`STRIPES`] padded per-thread cells. `record` is two atomic adds
+/// on the caller's stripe, plus a min/max update when the value extends
+/// the stripe's range.
+#[derive(Debug)]
+pub struct StripedHistogram {
+    stripes: Box<[HistStripe]>,
+}
+
+impl Default for StripedHistogram {
     fn default() -> Self {
+        let stripe = || HistStripe {
+            head: StripeHead {
+                sum: AtomicU64::new(0),
+                min: AtomicU64::new(u64::MAX),
+                max: AtomicU64::new(0),
+            },
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        };
         Self {
-            stripes: std::array::from_fn(|_| HistStripe::default()),
+            stripes: (0..STRIPES).map(|_| stripe()).collect(),
         }
     }
 }
 
-/// The bucket index observing `v`: smallest `b` with `v ≤ 2^b`, or the
-/// overflow bucket.
-#[must_use]
-fn bucket_index(v: u64) -> usize {
-    if v <= 1 {
-        return 0;
-    }
-    let b = (64 - (v - 1).leading_zeros()) as usize;
-    b.min(BUCKET_COUNT)
-}
-
-impl TelemetryHistogram {
+impl StripedHistogram {
     /// Records one observation on the calling thread's stripe.
+    ///
+    /// The min and max move before the bucket count, and the count is a
+    /// release: a reader that sees the count also sees a min and max that
+    /// cover the value.
     #[inline]
     pub fn record(&self, v: u64) {
         let s = &self.stripes[thread_stripe()];
-        s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
+        if v < s.head.min.load(Ordering::Relaxed) {
+            s.head.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > s.head.max.load(Ordering::Relaxed) {
+            s.head.max.fetch_max(v, Ordering::Relaxed);
+        }
+        s.buckets[bucket_of(v)].fetch_add(1, Ordering::Release);
+        s.head.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Total observations across all stripes.
+    /// Total observations across all stripes (the bucket counts summed).
     #[must_use]
     pub fn count(&self) -> u64 {
         self.stripes
             .iter()
-            .map(|s| s.count.load(Ordering::Acquire))
+            .flat_map(|s| &s.buckets)
+            .map(|c| c.load(Ordering::Acquire))
             .sum()
     }
 
@@ -204,69 +194,32 @@ impl TelemetryHistogram {
     /// underlying atomic adds).
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.stripes.iter().fold(0u64, |acc, s| {
-            acc.wrapping_add(s.sum.load(Ordering::Acquire))
-        })
+        self.stripes
+            .iter()
+            .map(|s| s.head.sum.load(Ordering::Acquire))
+            .fold(0, u64::wrapping_add)
     }
 
-    /// A point-in-time snapshot (per-cell atomic reads, not validated).
+    /// A point-in-time [`Histogram`] (per-cell atomic reads, not
+    /// validated). Each stripe's buckets are read before its min and max,
+    /// so the min and max bound every counted value. A stripe whose min is
+    /// still above its max has counted nothing yet, and is skipped.
     #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut per_bucket = [0u64; BUCKET_COUNT + 1];
-        for s in &self.stripes {
-            for (acc, cell) in per_bucket.iter_mut().zip(s.buckets.iter()) {
+    pub fn snapshot(&self) -> Histogram {
+        let mut counts = vec![0u64; BUCKETS];
+        let (mut sum, mut min, mut max) = (0u128, u64::MAX, 0u64);
+        for s in self.stripes.iter() {
+            if s.head.min.load(Ordering::Acquire) > s.head.max.load(Ordering::Acquire) {
+                continue;
+            }
+            for (acc, cell) in counts.iter_mut().zip(&s.buckets) {
                 *acc += cell.load(Ordering::Acquire);
             }
+            sum += u128::from(s.head.sum.load(Ordering::Acquire));
+            min = min.min(s.head.min.load(Ordering::Acquire));
+            max = max.max(s.head.max.load(Ordering::Acquire));
         }
-        // Cumulative `le` counts over the non-empty prefix plus overflow.
-        let mut buckets = Vec::new();
-        let mut acc = 0;
-        for (b, &n) in per_bucket.iter().enumerate().take(BUCKET_COUNT) {
-            acc += n;
-            if n > 0 {
-                buckets.push((1u64 << b, acc));
-            }
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count(),
-            sum: self.sum(),
-        }
-    }
-
-    fn collect_cells(&self, out: &mut Vec<u64>) {
-        out.extend(self.stripes.iter().map(|s| s.count.load(Ordering::Acquire)));
-    }
-}
-
-/// A histogram's point-in-time state: cumulative `(le, count)` pairs for
-/// every non-empty power-of-two bucket (observations above the last bound
-/// appear only in `count`), plus the total count and sum.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    /// `(upper bound, cumulative count ≤ bound)` in increasing bound order.
-    pub buckets: Vec<(u64, u64)>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// The smallest bucket bound with cumulative count ≥ `q · count` — a
-    /// conservative (upper-bounded) quantile estimate from bucketed data.
-    #[must_use]
-    pub fn quantile_le(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        for &(le, cum) in &self.buckets {
-            if cum >= target {
-                return Some(le);
-            }
-        }
-        self.buckets.last().map(|&(le, _)| le)
+        Histogram::from_parts(counts, sum, min, max)
     }
 }
 
@@ -275,15 +228,15 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// True when the double-collect validated: no monotone cell moved
-    /// between the two collects, so the counters and histogram counts are
-    /// an instantaneous cross-metric state. Gauges are always last-write.
+    /// between the two collects, so the counters and histograms are an
+    /// instantaneous cross-metric state. Gauges are always last-write.
     pub coherent: bool,
     /// `(name, total)` per counter, in name order.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` per gauge, in name order.
     pub gauges: Vec<(String, f64)>,
     /// `(name, state)` per histogram, in name order.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    pub histograms: Vec<(String, Histogram)>,
 }
 
 /// The metric maps behind one registration mutex. Updates never touch the
@@ -292,7 +245,7 @@ pub struct MetricsSnapshot {
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<TelemetryHistogram>>,
+    histograms: BTreeMap<String, Arc<StripedHistogram>>,
 }
 
 /// A registry of named metrics with lock-free updates and validated
@@ -312,6 +265,18 @@ fn lock_inner(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// The metric named `name` in `map`, created on first use.
+fn entry<T: Default>(map: &mut BTreeMap<String, Arc<T>>, name: &str) -> Arc<T> {
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
+/// Every `(name, handle)` in `map`, cloned.
+fn handles<T>(map: &BTreeMap<String, Arc<T>>) -> Vec<(String, Arc<T>)> {
+    map.iter()
+        .map(|(k, v)| (k.clone(), Arc::clone(v)))
+        .collect()
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
@@ -322,42 +287,28 @@ impl MetricsRegistry {
     /// The counter named `name`, created on first use.
     #[must_use]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(
-            lock_inner(&self.inner)
-                .counters
-                .entry(name.to_string())
-                .or_default(),
-        )
+        entry(&mut lock_inner(&self.inner).counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(
-            lock_inner(&self.inner)
-                .gauges
-                .entry(name.to_string())
-                .or_default(),
-        )
+        entry(&mut lock_inner(&self.inner).gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<TelemetryHistogram> {
-        Arc::clone(
-            lock_inner(&self.inner)
-                .histograms
-                .entry(name.to_string())
-                .or_default(),
-        )
+    pub fn histogram(&self, name: &str) -> Arc<StripedHistogram> {
+        entry(&mut lock_inner(&self.inner).histograms, name)
     }
 
     /// A validated snapshot of every registered metric.
     ///
-    /// Collects every monotone progress cell (counter stripes, histogram
-    /// counts), then re-collects: equal collects mean no metric moved
-    /// between the two passes, so the snapshot is an instantaneous state the
-    /// registry actually passed through (`coherent = true`). Under churn the
+    /// Collects every monotone cell (counter stripes, histogram buckets,
+    /// sums, mins and maxes), then re-collects: equal collects mean no
+    /// metric moved between the two passes, so the snapshot is an
+    /// instantaneous state the registry actually passed through
+    /// (`coherent = true`). Under churn the
     /// collect retries a bounded number of times and then returns the last
     /// (per-cell-atomic, possibly torn) collect flagged `coherent = false`.
     #[must_use]
@@ -366,65 +317,48 @@ impl MetricsRegistry {
         let (counters, gauges, histograms) = {
             let inner = lock_inner(&self.inner);
             (
-                inner
-                    .counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                    .collect::<Vec<_>>(),
-                inner
-                    .gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                    .collect::<Vec<_>>(),
-                inner
-                    .histograms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                    .collect::<Vec<_>>(),
+                handles(&inner.counters),
+                handles(&inner.gauges),
+                handles(&inner.histograms),
             )
         };
-        let collect = |out: &mut Vec<u64>| {
-            out.clear();
+        // A collect is every counter cell plus every histogram merged
+        // across its stripes. Histogram cells are monotone (counts and sums
+        // grow, mins fall, maxes rise), so two equal merged collects mean no
+        // cell a published value depends on moved in between.
+        let collect = || {
+            let mut cells = Vec::new();
             for (_, c) in &counters {
-                c.collect_cells(out);
+                cells.extend(c.cells.iter().map(|c| c.0.load(Ordering::Acquire)));
             }
-            for (_, h) in &histograms {
-                h.collect_cells(out);
-            }
+            let hists: Vec<Histogram> = histograms.iter().map(|(_, h)| h.snapshot()).collect();
+            (cells, hists)
         };
-        let mut seen = Vec::new();
-        let mut again = Vec::new();
-        collect(&mut seen);
+        let mut seen = collect();
         let mut coherent = false;
         for _ in 0..COHERENT_RETRIES {
-            collect(&mut again);
-            if seen == again {
+            let again = collect();
+            if again == seen {
                 coherent = true;
                 break;
             }
-            std::mem::swap(&mut seen, &mut again);
+            seen = again;
         }
-        // Counter totals and histogram counts are derived from the
-        // *validated* collect, never re-read — re-reading after validation
-        // would let movement slip between the validated instant and the
-        // published values, silently un-pinning a coherent-flagged
-        // snapshot (the torn-read twin `asgd-chaos` catches).
-        let mut cells = seen.chunks_exact(STRIPES);
+        // Everything published comes from the *validated* collect, never a
+        // re-read: re-reading after validation would let movement slip
+        // between the validated instant and the published values, silently
+        // un-pinning a coherent-flagged snapshot (the torn-read twin
+        // `asgd-chaos` catches).
+        let (cells, hists) = seen;
         let counters = counters
             .iter()
-            .map(|(k, _)| {
-                let total = cells.next().map_or(0, |c| c.iter().sum());
-                (k.clone(), total)
-            })
+            .zip(cells.chunks_exact(STRIPES))
+            .map(|((k, _), c)| (k.clone(), c.iter().sum()))
             .collect();
         let histograms = histograms
             .iter()
-            .map(|(k, h)| {
-                let count = cells.next().map_or(0, |c| c.iter().sum());
-                let mut snap = h.snapshot();
-                snap.count = count;
-                (k.clone(), snap)
-            })
+            .zip(hists)
+            .map(|((k, _), h)| (k.clone(), h))
             .collect();
         MetricsSnapshot {
             coherent,
@@ -486,32 +420,59 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 2);
-        assert_eq!(bucket_index(5), 3);
-        assert_eq!(bucket_index(u64::MAX), BUCKET_COUNT);
-        let h = TelemetryHistogram::default();
-        for v in [1, 2, 3, 1000, u64::MAX] {
+    fn striped_histogram_records_the_plain_layout() {
+        let values = [1, 2, 3, 1000, 1000, 1 << 50];
+        let h = StripedHistogram::default();
+        for v in values {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1006_u64.wrapping_add(u64::MAX));
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 5);
-        // The overflow observation is in count but under no finite bound.
-        let last_cum = snap.buckets.last().unwrap().1;
-        assert_eq!(last_cum, 4);
-        // Bounds increase and cumulative counts are monotone.
-        for w in snap.buckets.windows(2) {
-            assert!(w[0].0 < w[1].0 && w[0].1 <= w[1].1);
-        }
-        // Median target is the 3rd observation (value 3), bucketed ≤ 4.
-        assert_eq!(snap.quantile_le(0.5), Some(4));
-        assert_eq!(HistogramSnapshot::default().quantile_le(0.5), None);
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.sum(), 2006 + (1 << 50));
+        assert_eq!(h.snapshot(), Histogram::from_iter(values.iter().copied()));
+        assert_eq!(StripedHistogram::default().snapshot(), Histogram::new());
+    }
+
+    #[test]
+    fn stripe_heads_sit_on_lines_of_their_own() {
+        assert_eq!(std::mem::size_of::<StripeHead>(), 64);
+        assert_eq!(std::mem::align_of::<HistStripe>(), 64);
+    }
+
+    #[test]
+    fn snapshots_racing_a_recorder_are_never_torn() {
+        // Whatever the coherence flag says, every rendered histogram's
+        // cumulative buckets must rise monotonically to its `_count`.
+        let r = MetricsRegistry::new();
+        let h = r.histogram("asgd_race_ns");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 0_u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(v % 5_000);
+                    v += 7;
+                }
+            });
+            while h.count() == 0 {
+                std::thread::yield_now();
+            }
+            for _ in 0..200 {
+                let text = crate::render(&r.snapshot());
+                let (mut cum, mut count) = (0, None);
+                for line in text.lines().filter(|l| l.starts_with("asgd_race_ns_")) {
+                    let (series, value) = line.rsplit_once(' ').expect("sample line");
+                    let value: u64 = value.parse().expect("integer sample");
+                    if series.starts_with("asgd_race_ns_bucket") {
+                        assert!(value >= cum, "cumulative buckets fell: {text}");
+                        cum = value;
+                    } else if series == "asgd_race_ns_count" {
+                        count = Some(value);
+                    }
+                }
+                assert_eq!(Some(cum), count, "buckets disagree with _count: {text}");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]
@@ -528,7 +489,7 @@ mod tests {
         assert_eq!(snap.counters, vec![("x".to_string(), 1)]);
         assert_eq!(snap.gauges, vec![("g".to_string(), 7.0)]);
         assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count, 1);
+        assert_eq!(snap.histograms[0].1.total(), 1);
     }
 
     #[test]

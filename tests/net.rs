@@ -512,8 +512,8 @@ fn stats_scrape_serves_live_prometheus_text_consistent_with_model_stats() {
         .iter()
         .find(|(k, _)| k == "asgd_net_serve_latency_ns")
         .expect("serve latency histogram present");
-    assert!(latency.count >= 5, "latency histogram is vacuous");
-    assert!(latency.sum > 0);
+    assert!(latency.total() >= 5, "latency histogram is vacuous");
+    assert!(latency.sum() > 0);
     // Scrapes are idempotent reads: a second one still answers and its
     // monotone series never run backwards.
     let again =
