@@ -5,12 +5,12 @@
 //! uses), native integer `AtomicU64::fetch_add` (the hardware ceiling), and
 //! a `Mutex<f64>` add (what coarse-grained designs pay *per entry*).
 
+use asgd_hogwild::snapshot::lock_recovered;
 use asgd_hogwild::AtomicF64;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use parking_lot::Mutex;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn bench_uncontended(c: &mut Criterion) {
     let mut group = c.benchmark_group("faa_uncontended");
@@ -30,7 +30,7 @@ fn bench_uncontended(c: &mut Criterion) {
     let m = Mutex::new(0.0_f64);
     group.bench_function("mutex_f64", |b| {
         b.iter(|| {
-            let mut g = m.lock();
+            let mut g = lock_recovered(&m);
             *g += black_box(1.0);
             *g
         })
@@ -73,12 +73,12 @@ fn bench_contended(c: &mut Criterion) {
                         let x = Arc::clone(&x);
                         s.spawn(move || {
                             for _ in 0..adds_per_thread {
-                                *x.lock() += 1.0;
+                                *lock_recovered(&x) += 1.0;
                             }
                         });
                     }
                 });
-                *x.lock()
+                *lock_recovered(&x)
             },
             BatchSize::SmallInput,
         )

@@ -21,13 +21,14 @@
 //!   (α, horizon, total iterations, bound) must agree with the committed
 //!   artifact within the tolerance. Fewer fresh trials only coarsen the
 //!   measured rate, which the gate does not compare.
-//! - **ingest**: the committed `BENCH_ingest.json` must parse row-by-row
-//!   as [`IngestReport`]s, and every drifted cell must carry a finite
-//!   time-to-recover — a committed cell that never got back inside the
-//!   success region is not a baseline, it is a regression already. One
-//!   fresh quick drift cell then re-runs the live loop end to end and must
-//!   itself recover; TTR magnitudes are not compared (wall-clock recovery
-//!   on a shared core is far noisier than the tolerance).
+//! - **ingest**: the committed `BENCH_ingest.json` must decode as
+//!   [`IngestReport`](asgd_ingest::IngestReport) rows, and every drifted
+//!   cell must carry a finite time-to-recover — a committed cell that
+//!   never got back inside the success region is not a baseline, it is a
+//!   regression already. One fresh quick drift cell then re-runs the live
+//!   loop end to end and must itself recover; TTR magnitudes are not
+//!   compared (wall-clock recovery on a shared core is far noisier than
+//!   the tolerance).
 //!
 //! - **telemetry overhead**: the instrumentation contract — a hogwild run
 //!   with the strided step-timing sink installed (the same sink the driver
@@ -37,15 +38,14 @@
 //!   both arms). Skipped in unoptimised builds, where the ratio would
 //!   gate compiler settings rather than the sink.
 //!
-//! Cells only one side measured (the full grids are wider than the fresh
-//! ones) are skipped. An empty intersection is itself a failure: a gate
-//! that compares nothing gates nothing.
+//! Committed artifacts decode through the same row types the fresh
+//! sweeps produce, so each artifact's field names and cell keys are
+//! spelled once. Cells only one side measured (the full grids are wider
+//! than the fresh ones) are skipped. An empty intersection is itself a
+//! failure: a gate that compares nothing gates nothing.
 
 use crate::experiments::{ingest, serving, serving_net, sparse_scaling};
-use asgd_driver::json::{self, Value};
-use asgd_driver::report::{field_f64, field_str, field_u64};
-use asgd_driver::{validate, ValidationCell, ValidationPlan, ValidationReport};
-use asgd_ingest::IngestReport;
+use asgd_driver::{validate, DecodeError, ValidationCell, ValidationPlan, ValidationReport};
 use asgd_oracle::OracleSpec;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -107,37 +107,80 @@ impl CheckReport {
     }
 }
 
-fn load_rows(path: &Path) -> Result<Vec<Value>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let root = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let rows = root
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{}: missing `rows` array", path.display()))?;
-    Ok(rows.to_vec())
+/// Reads and decodes one committed artifact.
+fn load<T>(path: &Path, from_json: fn(&str) -> Result<T, DecodeError>) -> Result<T, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| from_json(&text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn committed_map(
-    rows: &[Value],
-    key_of: impl Fn(&Value) -> Result<Option<String>, asgd_driver::DecodeError>,
-    baseline_of: impl Fn(&Value) -> Result<Baseline, asgd_driver::DecodeError>,
-) -> Result<BTreeMap<String, Baseline>, String> {
-    let mut map = BTreeMap::new();
-    for row in rows {
-        let Some(key) = key_of(row).map_err(|e| e.to_string())? else {
-            continue;
-        };
-        map.insert(key, baseline_of(row).map_err(|e| e.to_string())?);
+/// A measured row the throughput/latency gates compare, keyed by its cell
+/// configuration.
+trait GateRow {
+    /// The cell's key, or `None` for a row outside the gate.
+    fn key(&self) -> Option<String>;
+    /// The measured pair the gate compares.
+    fn baseline(&self) -> Baseline;
+}
+
+impl GateRow for serving::Row {
+    fn key(&self) -> Option<String> {
+        Some(format!(
+            "clients={},mode={},threads={}",
+            self.clients, self.mode, self.trainer_threads
+        ))
     }
-    Ok(map)
+
+    fn baseline(&self) -> Baseline {
+        Baseline {
+            qps: self.qps,
+            p99_ns: self.p99_ns,
+        }
+    }
 }
 
-/// The serving artifacts' measured pair: answered throughput + p99.
-fn qps_p99(row: &Value) -> Result<Baseline, asgd_driver::DecodeError> {
-    Ok(Baseline {
-        qps: field_f64(row, "qps")?,
-        p99_ns: field_u64(row, "p99_ns")?,
-    })
+/// Only the closed-loop `grid` cells: the saturated overload pair's
+/// latency is governed by the shedding policy, not by code speed.
+impl GateRow for serving_net::Row {
+    fn key(&self) -> Option<String> {
+        (self.cell == "grid").then(|| {
+            format!(
+                "clients={},mode={},models={}",
+                self.clients, self.mode, self.models
+            )
+        })
+    }
+
+    fn baseline(&self) -> Baseline {
+        Baseline {
+            qps: self.qps,
+            p99_ns: self.p99_ns,
+        }
+    }
+}
+
+impl GateRow for sparse_scaling::Row {
+    fn key(&self) -> Option<String> {
+        Some(format!(
+            "d={},path={},store={},threads={}",
+            self.d, self.path, self.store, self.threads
+        ))
+    }
+
+    fn baseline(&self) -> Baseline {
+        Baseline {
+            qps: self.iters_per_sec,
+            p99_ns: 0, // throughput-only: the artifact has no latency column
+        }
+    }
+}
+
+/// The gated cells of `rows`, by key.
+fn cells<R: GateRow>(rows: &[R]) -> BTreeMap<String, Baseline> {
+    rows.iter()
+        .filter_map(|r| Some((r.key()?, r.baseline())))
+        .collect()
 }
 
 /// Compares fresh cells against committed baselines; appends one line per
@@ -200,24 +243,6 @@ fn compare(
     }
 }
 
-fn serving_fresh() -> BTreeMap<String, Baseline> {
-    serving::sweep(true)
-        .into_iter()
-        .map(|r| {
-            (
-                format!(
-                    "clients={},mode={},threads={}",
-                    r.clients, r.mode, r.trainer_threads
-                ),
-                Baseline {
-                    qps: r.qps,
-                    p99_ns: r.p99_ns,
-                },
-            )
-        })
-        .collect()
-}
-
 /// The corner of the committed sparse-path grid the gate re-measures, at
 /// the committed iteration budget (20k). The quick sweep's 2k-iteration
 /// cells are a few hundred µs of work — thread-spawn overhead would read
@@ -227,35 +252,12 @@ const SPARSE_GATE_DIMS: &[usize] = &[16, 1024];
 const SPARSE_GATE_THREADS: &[usize] = &[1, 2];
 const SPARSE_GATE_ITERATIONS: u64 = 20_000;
 
-fn sparse_key(d: u64, path: &str, store: &str, threads: u64) -> String {
-    format!("d={d},path={path},store={store},threads={threads}")
-}
-
-fn sparse_fresh() -> BTreeMap<String, Baseline> {
-    sparse_scaling::sweep_cells(
-        SPARSE_GATE_DIMS,
-        SPARSE_GATE_THREADS,
-        SPARSE_GATE_ITERATIONS,
-    )
-    .into_iter()
-    .map(|r| {
-        (
-            sparse_key(r.d as u64, r.path, r.store, r.threads as u64),
-            Baseline {
-                qps: r.iters_per_sec,
-                p99_ns: 0, // throughput-only: the artifact has no latency column
-            },
-        )
-    })
-    .collect()
-}
-
 /// The dimension floor above which the committed artifact must show the
 /// sharded store holding its own against the flat one.
-const SHARDED_GATE_MIN_D: u64 = 1 << 20;
+const SHARDED_GATE_MIN_D: usize = 1 << 20;
 /// The thread floor for the same gate: below real concurrency the stores
 /// are equivalent by construction, so the comparison would gate nothing.
-const SHARDED_GATE_MIN_THREADS: u64 = 4;
+const SHARDED_GATE_MIN_THREADS: usize = 4;
 
 /// Gates the committed artifact's own store comparison: at every
 /// `(d ≥ 1M, threads ≥ 4)` sparse-path cell measured on both stores, the
@@ -264,28 +266,19 @@ const SHARDED_GATE_MIN_THREADS: u64 = 4;
 /// cells on every check would dominate the gate's runtime — so it pins the
 /// claim the artifact was committed to support: sharding does not lose
 /// throughput where it is supposed to win.
-fn sharded_store_gate(rows: &[Value], tol: f64, report: &mut CheckReport) {
-    let mut by_cell: BTreeMap<(u64, u64), (Option<f64>, Option<f64>)> = BTreeMap::new();
+fn sharded_store_gate(rows: &[sparse_scaling::Row], tol: f64, report: &mut CheckReport) {
+    let mut by_cell: BTreeMap<(usize, usize), (Option<f64>, Option<f64>)> = BTreeMap::new();
     for row in rows {
-        let parsed = (|| -> Result<_, asgd_driver::DecodeError> {
-            Ok((
-                field_u64(row, "d")?,
-                field_u64(row, "threads")?,
-                field_str(row, "path")?,
-                field_str(row, "store")?,
-                field_f64(row, "iters_per_sec")?,
-            ))
-        })();
-        let Ok((d, threads, path, store, ips)) = parsed else {
-            continue; // rows without a store column predate the grid
-        };
-        if d < SHARDED_GATE_MIN_D || threads < SHARDED_GATE_MIN_THREADS || path != "sparse" {
+        if row.d < SHARDED_GATE_MIN_D
+            || row.threads < SHARDED_GATE_MIN_THREADS
+            || row.path != "sparse"
+        {
             continue;
         }
-        let slot = by_cell.entry((d, threads)).or_default();
-        match store.as_str() {
-            "flat" => slot.0 = Some(ips),
-            "sharded" => slot.1 = Some(ips),
+        let slot = by_cell.entry((row.d, row.threads)).or_default();
+        match row.store.as_str() {
+            "flat" => slot.0 = Some(row.iters_per_sec),
+            "sharded" => slot.1 = Some(row.iters_per_sec),
             _ => {}
         }
     }
@@ -514,13 +507,10 @@ fn compare_validation_cells(
 /// Loads the committed validation artifact, re-derives a quick corner of
 /// its grid at the same plan parameters, and compares.
 fn validation_gate(dir: &Path, tol: f64, report: &mut CheckReport) {
-    let path = dir.join("BENCH_validation.json");
-    let committed = std::fs::read_to_string(&path)
-        .map_err(|e| format!("{}: {e}", path.display()))
-        .and_then(|text| {
-            ValidationReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
-        });
-    let committed = match committed {
+    let committed = match load(
+        &dir.join("BENCH_validation.json"),
+        ValidationReport::from_json,
+    ) {
         Ok(committed) => committed,
         Err(e) => {
             report.failures.push(format!("validation baseline: {e}"));
@@ -556,9 +546,8 @@ fn validation_gate(dir: &Path, tol: f64, report: &mut CheckReport) {
 /// what the gate pins is the *property* every committed and fresh cell
 /// must have — finite recovery.
 fn ingest_gate(dir: &Path, report: &mut CheckReport) {
-    let path = dir.join("BENCH_ingest.json");
-    let rows = match load_rows(&path) {
-        Ok(rows) => rows,
+    let rows = match load(&dir.join("BENCH_ingest.json"), ingest::Artifact::from_json) {
+        Ok(artifact) => artifact.rows,
         Err(e) => {
             report.failures.push(format!("ingest baseline: {e}"));
             return;
@@ -570,16 +559,7 @@ fn ingest_gate(dir: &Path, report: &mut CheckReport) {
             .push("ingest: committed artifact has no rows — the gate is vacuous".to_string());
         return;
     }
-    for (i, row) in rows.iter().enumerate() {
-        let cell = match IngestReport::from_value(row) {
-            Ok(cell) => cell,
-            Err(e) => {
-                report.failures.push(format!(
-                    "ingest row {i}: does not parse as IngestReport: {e}"
-                ));
-                continue;
-            }
-        };
+    for cell in &rows {
         let key = format!("producers={},policy={}", cell.producers, cell.policy);
         let mut verdict = "ok";
         if cell.consumed == 0 {
@@ -618,22 +598,6 @@ fn ingest_gate(dir: &Path, report: &mut CheckReport) {
     }
 }
 
-fn serving_net_fresh() -> BTreeMap<String, Baseline> {
-    serving_net::sweep(true)
-        .into_iter()
-        .filter(|r| r.cell == "grid")
-        .map(|r| {
-            (
-                format!("clients={},mode={},models={}", r.clients, r.mode, r.models),
-                Baseline {
-                    qps: r.qps,
-                    p99_ns: r.p99_ns,
-                },
-            )
-        })
-        .collect()
-}
-
 /// Runs the full gate: fresh quick sweeps of `serving` and `serving-net`
 /// compared against `BENCH_serving.json` and `BENCH_net.json`, a fresh
 /// budget-matched sparse-path corner against `BENCH_sparse_path.json`, a
@@ -650,76 +614,52 @@ pub fn run_bench_check(dir: &Path, tol: f64) -> CheckReport {
     let mut report = CheckReport::default();
     report.lines.push(format!("tolerance: {:.0}%", tol * 100.0));
 
-    match load_rows(&dir.join("BENCH_serving.json")).and_then(|rows| {
-        committed_map(
-            &rows,
-            |row| {
-                Ok(Some(format!(
-                    "clients={},mode={},threads={}",
-                    field_u64(row, "clients")?,
-                    field_str(row, "mode")?,
-                    field_u64(row, "trainer_threads")?
-                )))
-            },
-            qps_p99,
-        )
-    }) {
-        Ok(committed) => compare("serving", &committed, &serving_fresh(), tol, &mut report),
+    match load(
+        &dir.join("BENCH_serving.json"),
+        serving::Artifact::from_json,
+    ) {
+        Ok(committed) => {
+            let fresh = cells(&serving::sweep(true));
+            compare("serving", &cells(&committed.rows), &fresh, tol, &mut report);
+        }
         Err(e) => report.failures.push(format!("serving baseline: {e}")),
     }
 
-    match load_rows(&dir.join("BENCH_net.json")).and_then(|rows| {
-        committed_map(
-            &rows,
-            |row| {
-                if field_str(row, "cell")? != "grid" {
-                    return Ok(None);
-                }
-                Ok(Some(format!(
-                    "clients={},mode={},models={}",
-                    field_u64(row, "clients")?,
-                    field_str(row, "mode")?,
-                    field_u64(row, "models")?
-                )))
-            },
-            qps_p99,
-        )
-    }) {
-        Ok(committed) => compare(
-            "serving-net",
-            &committed,
-            &serving_net_fresh(),
-            tol,
-            &mut report,
-        ),
+    match load(
+        &dir.join("BENCH_net.json"),
+        serving_net::Artifact::from_json,
+    ) {
+        Ok(committed) => {
+            let fresh = cells(&serving_net::sweep(true));
+            compare(
+                "serving-net",
+                &cells(&committed.rows),
+                &fresh,
+                tol,
+                &mut report,
+            );
+        }
         Err(e) => report.failures.push(format!("serving-net baseline: {e}")),
     }
 
-    match load_rows(&dir.join("BENCH_sparse_path.json")) {
-        Ok(rows) => {
-            match committed_map(
-                &rows,
-                |row| {
-                    Ok(Some(sparse_key(
-                        field_u64(row, "d")?,
-                        &field_str(row, "path")?,
-                        &field_str(row, "store")?,
-                        field_u64(row, "threads")?,
-                    )))
-                },
-                |row| {
-                    Ok(Baseline {
-                        qps: field_f64(row, "iters_per_sec")?,
-                        p99_ns: 0,
-                    })
-                },
-            ) {
-                Ok(committed) => {
-                    compare("sparse-path", &committed, &sparse_fresh(), tol, &mut report);
-                }
-                Err(e) => report.failures.push(format!("sparse-path baseline: {e}")),
-            }
-            sharded_store_gate(&rows, tol, &mut report);
+    match load(
+        &dir.join("BENCH_sparse_path.json"),
+        sparse_scaling::Artifact::from_json,
+    ) {
+        Ok(committed) => {
+            let fresh = cells(&sparse_scaling::sweep_cells(
+                SPARSE_GATE_DIMS,
+                SPARSE_GATE_THREADS,
+                SPARSE_GATE_ITERATIONS,
+            ));
+            compare(
+                "sparse-path",
+                &cells(&committed.rows),
+                &fresh,
+                tol,
+                &mut report,
+            );
+            sharded_store_gate(&committed.rows, tol, &mut report);
         }
         Err(e) => report.failures.push(format!("sparse-path baseline: {e}")),
     }
@@ -808,16 +748,22 @@ mod tests {
         }
     }
 
-    fn store_row(d: u64, threads: u64, path: &str, store: &str, ips: f64) -> Value {
-        Value::obj([
-            ("d", Value::U64(d)),
-            ("threads", Value::U64(threads)),
-            ("path", Value::Str(path.to_string())),
-            ("store", Value::Str(store.to_string())),
-            ("iterations", Value::U64(20_000)),
-            ("wall_time_secs", Value::f64(0.1)),
-            ("iters_per_sec", Value::f64(ips)),
-        ])
+    fn store_row(
+        d: usize,
+        threads: usize,
+        path: &str,
+        store: &str,
+        ips: f64,
+    ) -> sparse_scaling::Row {
+        sparse_scaling::Row {
+            d,
+            threads,
+            path: path.to_string(),
+            store: store.to_string(),
+            iterations: 20_000,
+            wall_time_secs: 0.1,
+            iters_per_sec: ips,
+        }
     }
 
     #[test]

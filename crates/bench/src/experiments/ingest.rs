@@ -18,8 +18,7 @@
 //! directory — the committed continual-learning artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, RunSpec};
+use asgd_driver::{json_record, BackendKind, RunSpec};
 use asgd_ingest::{heterogeneous_fleet, DriftSpec, IngestReport, IngestSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
@@ -96,19 +95,36 @@ pub fn sweep(quick: bool) -> Vec<IngestReport> {
     rows
 }
 
-/// Serialises the sweep to the `BENCH_ingest.json` value tree.
-#[must_use]
-pub fn to_json(rows: &[IngestReport]) -> Value {
-    Value::obj([
-        ("experiment", Value::Str("ingest".to_string())),
-        ("prior", Value::Str("flat".to_string())),
-        ("dim", Value::U64(DIM as u64)),
-        ("transport", Value::Str("tcp-loopback".to_string())),
-        (
-            "rows",
-            Value::Arr(rows.iter().map(IngestReport::to_value).collect()),
-        ),
-    ])
+json_record! {
+    /// The `BENCH_ingest.json` artifact: the sweep's reports under the
+    /// configuration they share.
+    #[derive(Debug, Clone)]
+    pub struct Artifact {
+        /// Always `"ingest"`.
+        pub experiment: String,
+        /// The trainer's prior (`"flat"`).
+        pub prior: String,
+        /// Model dimension ([`DIM`]).
+        pub dim: usize,
+        /// The transport (`"tcp-loopback"`).
+        pub transport: String,
+        /// One report per cell.
+        pub rows: Vec<IngestReport>,
+    }
+}
+
+impl Artifact {
+    /// The artifact holding `rows`.
+    #[must_use]
+    pub fn new(rows: Vec<IngestReport>) -> Self {
+        Self {
+            experiment: "ingest".to_string(),
+            prior: "flat".to_string(),
+            dim: DIM,
+            transport: "tcp-loopback".to_string(),
+            rows,
+        }
+    }
 }
 
 /// Runs the experiment. Non-quick runs also write `BENCH_ingest.json`
@@ -154,7 +170,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     ));
     if !quick {
         let path = std::path::Path::new("BENCH_ingest.json");
-        match std::fs::write(path, to_json(&rows).to_json_pretty() + "\n") {
+        match std::fs::write(path, Artifact::new(rows).to_json_pretty() + "\n") {
             Ok(()) => out.notes.push(format!("[json] {}", path.display())),
             Err(e) => out
                 .notes
@@ -183,12 +199,8 @@ mod tests {
         // The policies must be distinguishable in the artifact.
         let policies: Vec<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
         assert_eq!(policies, ["block", "drop-oldest", "reject"]);
-        let json = to_json(&rows).to_json();
-        let back = asgd_driver::json::parse(&json).expect("valid JSON");
-        let parsed = back.get("rows").and_then(Value::as_arr).expect("rows");
-        assert_eq!(parsed.len(), rows.len());
-        for (v, r) in parsed.iter().zip(&rows) {
-            assert_eq!(&IngestReport::from_value(v).expect("row parses"), r);
-        }
+        let json = Artifact::new(rows.clone()).to_json();
+        let back = Artifact::from_json(&json).expect("rows parse");
+        assert_eq!(back.rows, rows);
     }
 }

@@ -14,40 +14,79 @@
 //! directory — the committed serving-telemetry artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, RunSpec};
+use asgd_driver::{json_record, BackendKind, RunSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
 use asgd_oracle::OracleSpec;
 use asgd_serve::{QueryKind, ReadMode, ServeSpec};
 
-/// One measured serving configuration.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// `"live"` or `"snapshot"`.
-    pub mode: &'static str,
-    /// Trainer threads underneath.
-    pub trainer_threads: usize,
-    /// Queries answered in the window.
-    pub queries: u64,
-    /// Aggregate throughput (queries/s).
-    pub qps: f64,
-    /// Median query latency (ns).
-    pub p50_ns: u64,
-    /// 99th-percentile query latency (ns).
-    pub p99_ns: u64,
-    /// 99.9th-percentile query latency (ns).
-    pub p999_ns: u64,
-    /// Mean snapshot staleness in training iterations (0 for live mode).
-    pub staleness_mean: f64,
-    /// Worst observed staleness (0 for live mode).
-    pub staleness_max: u64,
-    /// Training iterations executed during the window.
-    pub train_iterations: u64,
-    /// Training throughput sustained under serving load (iters/s).
-    pub train_iters_per_sec: f64,
+json_record! {
+    /// One measured serving configuration.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Concurrent closed-loop clients.
+        pub clients: usize,
+        /// `"live"` or `"snapshot"`.
+        pub mode: String,
+        /// Trainer threads underneath.
+        pub trainer_threads: usize,
+        /// Queries answered in the window.
+        pub queries: u64,
+        /// Aggregate throughput (queries/s).
+        pub qps: f64,
+        /// Median query latency (ns).
+        pub p50_ns: u64,
+        /// 99th-percentile query latency (ns).
+        pub p99_ns: u64,
+        /// 99.9th-percentile query latency (ns).
+        pub p999_ns: u64,
+        /// Mean snapshot staleness in training iterations (0 for live mode).
+        pub staleness_mean: f64,
+        /// Worst observed staleness (0 for live mode).
+        pub staleness_max: u64,
+        /// Training iterations executed during the window.
+        pub train_iterations: u64,
+        /// Training throughput sustained under serving load (iters/s).
+        pub train_iters_per_sec: f64,
+    }
+}
+
+json_record! {
+    /// The `BENCH_serving.json` artifact: the sweep's rows under the
+    /// configuration they share.
+    #[derive(Debug, Clone)]
+    pub struct Artifact {
+        /// Always `"serving"`.
+        pub experiment: String,
+        /// The training backend (`"hogwild"`).
+        pub backend: String,
+        /// The training workload (`"sparse-quadratic"`).
+        pub oracle: String,
+        /// Model dimension ([`DIM`]).
+        pub dim: usize,
+        /// The query kind (`"dot-score"`).
+        pub query: String,
+        /// The arrival process (`"closed-loop"`).
+        pub arrival: String,
+        /// One row per measured configuration.
+        pub rows: Vec<Row>,
+    }
+}
+
+impl Artifact {
+    /// The artifact holding `rows`.
+    #[must_use]
+    pub fn new(rows: Vec<Row>) -> Self {
+        Self {
+            experiment: "serving".to_string(),
+            backend: "hogwild".to_string(),
+            oracle: "sparse-quadratic".to_string(),
+            dim: DIM,
+            query: "dot-score".to_string(),
+            arrival: "closed-loop".to_string(),
+            rows,
+        }
+    }
 }
 
 /// Model dimension of the sweep (big enough that a coherent copy is real
@@ -95,7 +134,7 @@ pub fn sweep(quick: bool) -> Vec<Row> {
                     .expect("serving sweep cell runs");
                 rows.push(Row {
                     clients,
-                    mode: mode.label(),
+                    mode: mode.label().to_string(),
                     trainer_threads: threads,
                     queries: report.queries,
                     qps: report.qps,
@@ -114,48 +153,12 @@ pub fn sweep(quick: bool) -> Vec<Row> {
     rows
 }
 
-/// Serialises the sweep to the `BENCH_serving.json` value tree.
-#[must_use]
-pub fn to_json(rows: &[Row]) -> Value {
-    Value::obj([
-        ("experiment", Value::Str("serving".to_string())),
-        ("backend", Value::Str("hogwild".to_string())),
-        ("oracle", Value::Str("sparse-quadratic".to_string())),
-        ("dim", Value::U64(DIM as u64)),
-        ("query", Value::Str("dot-score".to_string())),
-        ("arrival", Value::Str("closed-loop".to_string())),
-        (
-            "rows",
-            Value::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("clients", Value::U64(r.clients as u64)),
-                            ("mode", Value::Str(r.mode.to_string())),
-                            ("trainer_threads", Value::U64(r.trainer_threads as u64)),
-                            ("queries", Value::U64(r.queries)),
-                            ("qps", Value::f64(r.qps)),
-                            ("p50_ns", Value::U64(r.p50_ns)),
-                            ("p99_ns", Value::U64(r.p99_ns)),
-                            ("p999_ns", Value::U64(r.p999_ns)),
-                            ("staleness_mean", Value::f64(r.staleness_mean)),
-                            ("staleness_max", Value::U64(r.staleness_max)),
-                            ("train_iterations", Value::U64(r.train_iterations)),
-                            ("train_iters_per_sec", Value::f64(r.train_iters_per_sec)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Runs the experiment. Non-quick runs also write `BENCH_serving.json`
 /// into the current directory.
 #[must_use]
 pub fn run(quick: bool) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("serving");
-    let rows = sweep(quick);
+    let artifact = Artifact::new(sweep(quick));
     let mut table = Table::new(
         "Serving under training: closed-loop dot-score clients vs live hogwild writers (sparse-quadratic)",
         &[
@@ -172,10 +175,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "train iters/s",
         ],
     );
-    for r in &rows {
+    for r in &artifact.rows {
         table.row(&[
             r.clients.to_string(),
-            r.mode.to_string(),
+            r.mode.clone(),
             r.trainer_threads.to_string(),
             r.queries.to_string(),
             fmt_f(r.qps),
@@ -190,7 +193,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     out.tables.push(table);
     if !quick {
         let path = std::path::Path::new("BENCH_serving.json");
-        match std::fs::write(path, to_json(&rows).to_json_pretty() + "\n") {
+        match std::fs::write(path, artifact.to_json_pretty() + "\n") {
             Ok(()) => out.notes.push(format!("[json] {}", path.display())),
             Err(e) => out
                 .notes
@@ -220,12 +223,9 @@ mod tests {
                 assert_eq!(r.staleness_max, 0, "{r:?}: live reads have no staleness");
             }
         }
-        let json = to_json(&rows).to_json();
-        let back = asgd_driver::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            back.get("rows").and_then(|v| v.as_arr()).map(<[_]>::len),
-            Some(rows.len())
-        );
+        let json = Artifact::new(rows.clone()).to_json();
+        let back = Artifact::from_json(&json).expect("valid JSON");
+        assert_eq!(back.rows.len(), rows.len());
         // No latency assertions (CI boxes are noisy); the committed
         // BENCH_serving.json carries the full-run numbers.
     }

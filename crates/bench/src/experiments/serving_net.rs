@@ -16,8 +16,7 @@
 //! directory — the committed wire-serving artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, RunSpec};
+use asgd_driver::{json_record, BackendKind, RunSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
 use asgd_net::{
@@ -42,48 +41,85 @@ pub const OVERLOAD_DIM: usize = 262_144;
 /// The overload cell's latency objective on executed requests, in ns.
 pub const OVERLOAD_SLO_NS: u64 = 5_000_000; // 5 ms
 
-/// One measured wire-serving configuration.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// `"grid"` (closed-loop dot-score), `"overload"` (open-loop predict
-    /// at a fixed rate past capacity, mixed priorities, SLO shedding on)
-    /// or `"overload-unshed"` (identical traffic, shedding off — the
-    /// uncontrolled baseline the shed cell is read against).
-    pub cell: &'static str,
-    /// Model dimension hosted by the cell.
-    pub dim: usize,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// `"live"` or `"snapshot"` (every model in the cell).
-    pub mode: &'static str,
-    /// Hosted models in the registry (clients round-robin across them).
-    pub models: usize,
-    /// Arrival label (`closed-loop` / `rate:QPS` per client).
-    pub arrival: String,
-    /// Op label.
-    pub op: &'static str,
-    /// Requests put on the wire.
-    pub sent: u64,
-    /// Requests answered with a value.
-    pub answered: u64,
-    /// Requests refused with a `Shed` frame.
-    pub shed: u64,
-    /// Requests answered with an error frame.
-    pub errors: u64,
-    /// Answered throughput (requests/s).
-    pub qps: f64,
-    /// Median answered latency (ns; client-side, queueing included).
-    pub p50_ns: u64,
-    /// 99th-percentile answered latency (ns).
-    pub p99_ns: u64,
-    /// High-priority-class p99 (ns; equals `p99_ns` for grid cells).
-    pub high_p99_ns: u64,
-    /// The SLO on executed requests (ns; 0 = shedding off).
-    pub slo_ns: u64,
-    /// The server's rolling p99 over executed requests at window close
-    /// (ns; 0 = not enough samples). This is the quantity the SLO
-    /// governs — client-side latency additionally pays queueing.
-    pub server_p99_ns: u64,
+json_record! {
+    /// One measured wire-serving configuration.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// `"grid"` (closed-loop dot-score), `"overload"` (open-loop predict
+        /// at a fixed rate past capacity, mixed priorities, SLO shedding on)
+        /// or `"overload-unshed"` (identical traffic, shedding off — the
+        /// uncontrolled baseline the shed cell is read against).
+        pub cell: String,
+        /// Model dimension hosted by the cell.
+        pub dim: usize,
+        /// Concurrent client connections.
+        pub clients: usize,
+        /// `"live"` or `"snapshot"` (every model in the cell).
+        pub mode: String,
+        /// Hosted models in the registry (clients round-robin across them).
+        pub models: usize,
+        /// Arrival label (`closed-loop` / `rate:QPS` per client).
+        pub arrival: String,
+        /// Op label.
+        pub op: String,
+        /// Requests put on the wire.
+        pub sent: u64,
+        /// Requests answered with a value.
+        pub answered: u64,
+        /// Requests refused with a `Shed` frame.
+        pub shed: u64,
+        /// Requests answered with an error frame.
+        pub errors: u64,
+        /// Answered throughput (requests/s).
+        pub qps: f64,
+        /// Median answered latency (ns; client-side, queueing included).
+        pub p50_ns: u64,
+        /// 99th-percentile answered latency (ns).
+        pub p99_ns: u64,
+        /// High-priority-class p99 (ns; equals `p99_ns` for grid cells).
+        pub high_p99_ns: u64,
+        /// The SLO on executed requests (ns; 0 = shedding off).
+        pub slo_ns: u64,
+        /// The server's rolling p99 over executed requests at window close
+        /// (ns; 0 = not enough samples). This is the quantity the SLO
+        /// governs — client-side latency additionally pays queueing.
+        pub server_p99_ns: u64,
+    }
+}
+
+json_record! {
+    /// The `BENCH_net.json` artifact: the sweep's rows under the
+    /// configuration they share.
+    #[derive(Debug, Clone)]
+    pub struct Artifact {
+        /// Always `"serving-net"`.
+        pub experiment: String,
+        /// The training backend (`"hogwild"`).
+        pub backend: String,
+        /// The training workload (`"sparse-quadratic"`).
+        pub oracle: String,
+        /// Model dimension of the grid cells ([`DIM`]).
+        pub dim: usize,
+        /// The transport (`"tcp-loopback"`).
+        pub transport: String,
+        /// One row per measured cell.
+        pub rows: Vec<Row>,
+    }
+}
+
+impl Artifact {
+    /// The artifact holding `rows`.
+    #[must_use]
+    pub fn new(rows: Vec<Row>) -> Self {
+        Self {
+            experiment: "serving-net".to_string(),
+            backend: "hogwild".to_string(),
+            oracle: "sparse-quadratic".to_string(),
+            dim: DIM,
+            transport: "tcp-loopback".to_string(),
+            rows,
+        }
+    }
 }
 
 /// Builds a registry hosting `models` training runs (one trainer thread
@@ -133,13 +169,13 @@ fn run_cell(
         .find(|c| c.answered > 0)
         .map_or(0, |c| c.latency.p99_ns);
     Row {
-        cell,
+        cell: cell.to_string(),
         dim,
         clients,
-        mode: mode.label(),
+        mode: mode.label().to_string(),
         models,
         arrival: report.arrival.clone(),
-        op: spec.op.label(),
+        op: spec.op.label().to_string(),
         sent: report.sent,
         answered: report.answered,
         shed: report.shed,
@@ -261,46 +297,6 @@ pub fn overload_cells(quick: bool) -> Vec<Row> {
     ]
 }
 
-/// Serialises the sweep to the `BENCH_net.json` value tree.
-#[must_use]
-pub fn to_json(rows: &[Row]) -> Value {
-    Value::obj([
-        ("experiment", Value::Str("serving-net".to_string())),
-        ("backend", Value::Str("hogwild".to_string())),
-        ("oracle", Value::Str("sparse-quadratic".to_string())),
-        ("dim", Value::U64(DIM as u64)),
-        ("transport", Value::Str("tcp-loopback".to_string())),
-        (
-            "rows",
-            Value::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("cell", Value::Str(r.cell.to_string())),
-                            ("dim", Value::U64(r.dim as u64)),
-                            ("clients", Value::U64(r.clients as u64)),
-                            ("mode", Value::Str(r.mode.to_string())),
-                            ("models", Value::U64(r.models as u64)),
-                            ("arrival", Value::Str(r.arrival.clone())),
-                            ("op", Value::Str(r.op.to_string())),
-                            ("sent", Value::U64(r.sent)),
-                            ("answered", Value::U64(r.answered)),
-                            ("shed", Value::U64(r.shed)),
-                            ("errors", Value::U64(r.errors)),
-                            ("qps", Value::f64(r.qps)),
-                            ("p50_ns", Value::U64(r.p50_ns)),
-                            ("p99_ns", Value::U64(r.p99_ns)),
-                            ("high_p99_ns", Value::U64(r.high_p99_ns)),
-                            ("slo_ns", Value::U64(r.slo_ns)),
-                            ("server_p99_ns", Value::U64(r.server_p99_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Runs the experiment. Non-quick runs also write `BENCH_net.json` into
 /// the current directory.
 #[must_use]
@@ -316,13 +312,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     for r in &rows {
         table.row(&[
-            r.cell.to_string(),
+            r.cell.clone(),
             r.dim.to_string(),
             r.clients.to_string(),
-            r.mode.to_string(),
+            r.mode.clone(),
             r.models.to_string(),
             r.arrival.clone(),
-            r.op.to_string(),
+            r.op.clone(),
             r.sent.to_string(),
             r.answered.to_string(),
             r.shed.to_string(),
@@ -358,7 +354,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     }
     if !quick {
         let path = std::path::Path::new("BENCH_net.json");
-        match std::fs::write(path, to_json(&rows).to_json_pretty() + "\n") {
+        match std::fs::write(path, Artifact::new(rows).to_json_pretty() + "\n") {
             Ok(()) => out.notes.push(format!("[json] {}", path.display())),
             Err(e) => out
                 .notes
@@ -406,11 +402,8 @@ mod tests {
             over.answered + over.shed + over.errors,
             "{over:?}: every request gets an explicit outcome"
         );
-        let json = to_json(&rows).to_json();
-        let back = asgd_driver::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            back.get("rows").and_then(|v| v.as_arr()).map(<[_]>::len),
-            Some(rows.len())
-        );
+        let json = Artifact::new(rows.clone()).to_json();
+        let back = Artifact::from_json(&json).expect("valid JSON");
+        assert_eq!(back.rows.len(), rows.len());
     }
 }

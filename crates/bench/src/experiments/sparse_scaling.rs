@@ -19,29 +19,59 @@
 //! directory — the workspace's perf trajectory artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, Driver, PinSpec, RunSpec, ShardsSpec, SparsePathSpec};
+use asgd_driver::{json_record, BackendKind, Driver, PinSpec, RunSpec, ShardsSpec, SparsePathSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
 use asgd_oracle::OracleSpec;
 
-/// One measured configuration.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Model dimension.
-    pub d: usize,
-    /// Worker threads.
-    pub threads: usize,
-    /// `"dense"` or `"sparse"`.
-    pub path: &'static str,
-    /// `"flat"` or `"sharded"` — which parameter store held the model.
-    pub store: &'static str,
-    /// Iteration budget (identical across paths).
-    pub iterations: u64,
-    /// Wall-clock seconds of the parallel section.
-    pub wall_secs: f64,
-    /// Iterations per second.
-    pub iters_per_sec: f64,
+json_record! {
+    /// One measured configuration.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Model dimension.
+        pub d: usize,
+        /// Worker threads.
+        pub threads: usize,
+        /// `"dense"` or `"sparse"`.
+        pub path: String,
+        /// `"flat"` or `"sharded"` — which parameter store held the model.
+        pub store: String,
+        /// Iteration budget (identical across paths).
+        pub iterations: u64,
+        /// Wall-clock seconds of the parallel section.
+        pub wall_time_secs: f64,
+        /// Iterations per second.
+        pub iters_per_sec: f64,
+    }
+}
+
+json_record! {
+    /// The `BENCH_sparse_path.json` artifact: the sweep's rows under the
+    /// configuration they share.
+    #[derive(Debug, Clone)]
+    pub struct Artifact {
+        /// Always `"sparse-scaling"`.
+        pub experiment: String,
+        /// The backend (`"hogwild"`).
+        pub backend: String,
+        /// The workload (`"sparse-quadratic"`).
+        pub oracle: String,
+        /// One row per measured configuration.
+        pub rows: Vec<Row>,
+    }
+}
+
+impl Artifact {
+    /// The artifact holding `rows`.
+    #[must_use]
+    pub fn new(rows: Vec<Row>) -> Self {
+        Self {
+            experiment: "sparse-scaling".to_string(),
+            backend: "hogwild".to_string(),
+            oracle: "sparse-quadratic".to_string(),
+            rows,
+        }
+    }
 }
 
 fn cell_spec(
@@ -74,14 +104,16 @@ fn row_from(spec: &RunSpec, report: &asgd_driver::RunReport) -> Row {
             "sparse"
         } else {
             "dense"
-        },
+        }
+        .to_string(),
         store: if report.shards.is_some() {
             "sharded"
         } else {
             "flat"
-        },
+        }
+        .to_string(),
         iterations: spec.iterations,
-        wall_secs: report.wall_time_secs,
+        wall_time_secs: report.wall_time_secs,
         iters_per_sec: report.iterations_per_sec(),
     }
 }
@@ -181,34 +213,6 @@ pub fn store_speedups(rows: &[Row]) -> Vec<(usize, usize, f64)> {
     out
 }
 
-/// Serialises the sweep to the `BENCH_sparse_path.json` value tree.
-#[must_use]
-pub fn to_json(rows: &[Row]) -> Value {
-    Value::obj([
-        ("experiment", Value::Str("sparse-scaling".to_string())),
-        ("backend", Value::Str("hogwild".to_string())),
-        ("oracle", Value::Str("sparse-quadratic".to_string())),
-        (
-            "rows",
-            Value::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("d", Value::U64(r.d as u64)),
-                            ("threads", Value::U64(r.threads as u64)),
-                            ("path", Value::Str(r.path.to_string())),
-                            ("store", Value::Str(r.store.to_string())),
-                            ("iterations", Value::U64(r.iterations)),
-                            ("wall_time_secs", Value::f64(r.wall_secs)),
-                            ("iters_per_sec", Value::f64(r.iters_per_sec)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Runs the experiment. Non-quick runs also write `BENCH_sparse_path.json`
 /// into the current directory.
 #[must_use]
@@ -232,9 +236,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
         table.row(&[
             r.d.to_string(),
             r.threads.to_string(),
-            r.path.to_string(),
-            r.store.to_string(),
-            format!("{:.4}", r.wall_secs),
+            r.path.clone(),
+            r.store.clone(),
+            format!("{:.4}", r.wall_time_secs),
             fmt_f(r.iters_per_sec),
         ]);
     }
@@ -253,7 +257,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         let mut rows = path_rows;
         rows.extend(store_rows);
         let path = std::path::Path::new("BENCH_sparse_path.json");
-        match std::fs::write(path, to_json(&rows).to_json_pretty() + "\n") {
+        match std::fs::write(path, Artifact::new(rows).to_json_pretty() + "\n") {
             Ok(()) => out.notes.push(format!("[json] {}", path.display())),
             Err(e) => out
                 .notes
@@ -275,15 +279,12 @@ mod tests {
         assert!(rows.iter().any(|r| r.path == "dense"));
         for r in &rows {
             assert_eq!(r.store, "flat");
-            assert!(r.wall_secs >= 0.0);
+            assert!(r.wall_time_secs >= 0.0);
             assert!(r.iters_per_sec > 0.0, "{r:?}");
         }
-        let json = to_json(&rows).to_json();
-        let back = asgd_driver::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            back.get("rows").and_then(|v| v.as_arr()).map(<[_]>::len),
-            Some(rows.len())
-        );
+        let json = Artifact::new(rows.clone()).to_json();
+        let back = Artifact::from_json(&json).expect("valid JSON");
+        assert_eq!(back.rows.len(), rows.len());
         // No perf assertion here (CI boxes are noisy); the committed
         // BENCH_sparse_path.json carries the full-run numbers.
         assert_eq!(speedups(&rows).len(), rows.len() / 2);

@@ -17,9 +17,8 @@
 //! * [`RunReport`] — the unified outcome every backend produces: hitting
 //!   time, distances, wall time, contention statistics, optional strided
 //!   [`TrajectorySample`]s, and (for deterministic backends) the execution
-//!   fingerprint. Serialisable to and from JSON via the built-in codec
-//!   ([`json`]), and additionally deriving `serde::{Serialize, Deserialize}`
-//!   when the `serde` feature is enabled;
+//!   fingerprint. Serialisable to and from JSON through the workspace's one
+//!   codec ([`json`]): each report type is a [`json_record!`] field table;
 //! * [`session`] — runs as *jobs*: [`Driver::submit`] returns a
 //!   [`RunHandle`] with `cancel()` / `wait()` / `try_report()`,
 //!   [`Driver::run_many`] executes sweeps on a bounded worker pool, and a
@@ -75,7 +74,8 @@ pub mod validation;
 
 pub use backend::{backend, run_simulated_lockfree_detailed, run_spec, run_spec_session, Backend};
 pub use error::DriverError;
-pub use report::{ContentionSummary, DecodeError, RunReport, TrajectorySample};
+pub use json::DecodeError;
+pub use report::{ContentionSummary, RunReport, TrajectorySample};
 pub use session::{Driver, Progress, RunEvent, RunHandle, RunObserver, SessionCtx};
 pub use trace::TraceObserver;
 // Serving attachment types, re-exported so session consumers need only this
@@ -89,24 +89,3 @@ pub use spec::{
 pub use validation::{
     validate, ValidationCell, ValidationCriterion, ValidationPlan, ValidationReport,
 };
-
-/// Compile-time proof the feature-gated serde derives actually emit impls
-/// (CI builds `--features serde`, so a rotted attribute fails loudly). Only
-/// the lifetime-free `Serialize` bound is asserted — it is spelled the same
-/// against the offline stub and the real serde.
-#[cfg(all(test, feature = "serde"))]
-mod serde_feature_tests {
-    fn assert_serialize<T: serde::Serialize>() {}
-
-    #[test]
-    fn spec_and_report_types_derive_serialize() {
-        assert_serialize::<crate::RunSpec>();
-        assert_serialize::<crate::RunReport>();
-        assert_serialize::<crate::TrajectorySample>();
-        assert_serialize::<crate::ContentionSummary>();
-        assert_serialize::<crate::BackendKind>();
-        assert_serialize::<crate::StepSize>();
-        assert_serialize::<crate::SchedulerSpec>();
-        assert_serialize::<asgd_oracle::OracleSpec>();
-    }
-}

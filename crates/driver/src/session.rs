@@ -459,8 +459,9 @@ pub struct RunHandle {
 
 impl RunHandle {
     /// Requests cancellation. Native executors honour the flag within one
-    /// 16-claim stride per worker (simulated backends: one engine step); the run
-    /// then finishes with `stop: Some("cancelled")` and partial iterations.
+    /// claim per worker on the dense path and one 16-claim stride on the
+    /// sparse path (simulated backends: one engine step); the run then
+    /// finishes with `stop: Some("cancelled")` and partial iterations.
     /// Idempotent; racing a natural finish is harmless.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::SeqCst);

@@ -9,7 +9,6 @@ use asgd_shmem::sched::{
 
 /// The execution models a [`RunSpec`] can select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BackendKind {
     /// The classic sequential iteration (Eq. 1), single coin stream.
     Sequential,
@@ -97,7 +96,6 @@ impl std::fmt::Display for BackendKind {
 
 /// Shared-model memory layout for the native backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModelLayoutSpec {
     /// Entries packed contiguously — the default.
     #[default]
@@ -133,7 +131,6 @@ impl std::str::FromStr for ModelLayoutSpec {
 
 /// Memory ordering of the native shared model's reads and `fetch&add`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum UpdateOrderSpec {
     /// Sequentially consistent — the §2 model, paper-faithful. The default.
     #[default]
@@ -175,7 +172,6 @@ impl std::str::FromStr for UpdateOrderSpec {
 /// dense op scan as paper-faithful and only declares sparse ops under
 /// `Sparse` (for oracles with the two-phase decomposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SparsePathSpec {
     /// Let each backend pick (native: by Δ vs d; simulated: dense).
     #[default]
@@ -216,7 +212,6 @@ impl std::str::FromStr for SparsePathSpec {
 /// Parameter-store sharding for the native backends (simulated registers
 /// have no arenas; ignored there, as is the serializing locked baseline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ShardsSpec {
     /// One flat arena — the default.
     #[default]
@@ -263,7 +258,6 @@ impl std::str::FromStr for ShardsSpec {
 /// Worker-to-core pinning for the native backends (best effort; the
 /// simulator has no OS threads to pin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PinSpec {
     /// Do not pin — the default.
     #[default]
@@ -299,7 +293,6 @@ impl std::str::FromStr for PinSpec {
 
 /// Step-size schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StepSize {
     /// Constant learning rate `α`.
     Constant {
@@ -351,7 +344,6 @@ impl StepSize {
 /// Scheduler (adversary) selection for the simulated backends. Native
 /// backends ignore it — the OS is their scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerSpec {
     /// Thread 0 runs to completion, then thread 1, …
     Serial,
@@ -454,7 +446,6 @@ impl std::str::FromStr for SchedulerSpec {
 /// schedule, success region and seed. The same spec runs unchanged on every
 /// compatible [`BackendKind`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSpec {
     /// Workload, built by name through the oracle registry.
     pub oracle: OracleSpec,

@@ -65,8 +65,7 @@
 //! ```
 
 use crate::error::DriverError;
-use crate::json::{self, Value};
-use crate::report::{field_bool, field_f64, field_str, field_u64, opt_field, DecodeError};
+use crate::json::{DecodeError, Value};
 use crate::session::Driver;
 use crate::spec::{BackendKind, RunSpec, SchedulerSpec};
 use asgd_math::rng::SeedSequence;
@@ -75,6 +74,7 @@ use asgd_metrics::ProbabilityEstimate;
 use asgd_oracle::OracleSpec;
 use asgd_theory::martingale::RateSupermartingale;
 use asgd_theory::{bounds, corollary_7_1};
+use std::collections::BTreeMap;
 
 /// The Markov bound on the terminal-criterion failure probability: from
 /// Corollary 7.1's `E‖r − x*‖ ≤ √ε`, `P(‖r − x*‖ > 2√ε) ≤ ½`.
@@ -346,45 +346,47 @@ struct CellDerivation {
     bound: f64,
 }
 
-/// One `(backend, n, ε)` cell of a [`ValidationReport`]: the derived
-/// configuration, the measured failure estimate, and the verdict.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ValidationCell {
-    /// Backend name (see [`BackendKind::name`]).
-    pub backend: String,
-    /// Which comparison ran (`"hitting"` or `"terminal"`).
-    pub criterion: String,
-    /// Thread count `n`.
-    pub threads: usize,
-    /// Success threshold `ε` on `‖x − x*‖²`.
-    pub eps: f64,
-    /// Assumed maximum interval contention.
-    pub tau_max: u64,
-    /// Step size actually run (Eq. 12 unless overridden).
-    pub alpha: f64,
-    /// Corollary 6.7 horizon `T` (per epoch for the terminal criterion).
-    pub horizon: u64,
-    /// Corollary 7.1 halving epochs (terminal criterion only).
-    pub halving_epochs: Option<u64>,
-    /// Total iteration budget each trial executed.
-    pub total_iterations: u64,
-    /// Independent trials run.
-    pub trials: u64,
-    /// Trials in which the failure event occurred.
-    pub failures: u64,
-    /// Point estimate `failures / trials`.
-    pub measured: f64,
-    /// Lower end of the Wilson 95% interval on the failure probability.
-    pub ci_lower: f64,
-    /// Upper end of the Wilson 95% interval.
-    pub ci_upper: f64,
-    /// The theory's upper bound on the failure probability (unclamped; may
-    /// exceed 1, in which case it is vacuous but still valid).
-    pub bound: f64,
-    /// The verdict: the bound does not sit below the measured lower
-    /// confidence limit.
-    pub consistent_with_upper_bound: bool,
+crate::json_record! {
+    /// One `(backend, n, ε)` cell of a [`ValidationReport`]: the derived
+    /// configuration, the measured failure estimate, and the verdict.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ValidationCell {
+        /// Backend name (see [`BackendKind::name`]).
+        pub backend: String,
+        /// Which comparison ran (`"hitting"` or `"terminal"`).
+        pub criterion: String,
+        /// Thread count `n`.
+        pub threads: usize,
+        /// Success threshold `ε` on `‖x − x*‖²`.
+        pub eps: f64,
+        /// Assumed maximum interval contention.
+        pub tau_max: u64,
+        /// Step size actually run (Eq. 12 unless overridden).
+        pub alpha: f64,
+        /// Corollary 6.7 horizon `T` (per epoch for the terminal criterion).
+        pub horizon: u64,
+        /// Corollary 7.1 halving epochs (terminal criterion only).
+        pub halving_epochs: Option<u64>,
+        /// Total iteration budget each trial executed.
+        pub total_iterations: u64,
+        /// Independent trials run.
+        pub trials: u64,
+        /// Trials in which the failure event occurred.
+        pub failures: u64,
+        /// Point estimate `failures / trials`.
+        pub measured: f64,
+        /// Lower end of the Wilson 95% interval on the failure probability.
+        pub ci_lower: f64,
+        /// Upper end of the Wilson 95% interval.
+        pub ci_upper: f64,
+        /// The theory's upper bound on the failure probability (unclamped; may
+        /// exceed 1, in which case it is vacuous but still valid).
+        pub bound: f64,
+        /// The verdict: the bound does not sit below the measured lower
+        /// confidence limit.
+        pub consistent_with_upper_bound: bool,
+    }
+    check = ValidationCell::check_criterion;
 }
 
 impl ValidationCell {
@@ -403,90 +405,47 @@ impl ValidationCell {
         }
     }
 
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("backend", Value::Str(self.backend.clone())),
-            ("criterion", Value::Str(self.criterion.clone())),
-            ("threads", Value::U64(self.threads as u64)),
-            ("eps", Value::f64(self.eps)),
-            ("tau_max", Value::U64(self.tau_max)),
-            ("alpha", Value::f64(self.alpha)),
-            ("horizon", Value::U64(self.horizon)),
-            (
-                "halving_epochs",
-                Value::opt(self.halving_epochs.map(Value::U64)),
-            ),
-            ("total_iterations", Value::U64(self.total_iterations)),
-            ("trials", Value::U64(self.trials)),
-            ("failures", Value::U64(self.failures)),
-            ("measured", Value::f64(self.measured)),
-            ("ci_lower", Value::f64(self.ci_lower)),
-            ("ci_upper", Value::f64(self.ci_upper)),
-            ("bound", Value::f64(self.bound)),
-            (
-                "consistent_with_upper_bound",
-                Value::Bool(self.consistent_with_upper_bound),
-            ),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        let criterion = field_str(v, "criterion")?;
-        if ValidationCriterion::from_label(&criterion).is_none() {
-            return Err(DecodeError::field(
+    /// Decoding rejects a criterion no [`ValidationCriterion`] names.
+    fn check_criterion(&self) -> Result<(), DecodeError> {
+        match ValidationCriterion::from_label(&self.criterion) {
+            Some(_) => Ok(()),
+            None => Err(DecodeError::field(
                 "criterion",
                 "expected `hitting` or `terminal`",
-            ));
+            )),
         }
-        Ok(Self {
-            backend: field_str(v, "backend")?,
-            criterion,
-            threads: field_u64(v, "threads")? as usize,
-            eps: field_f64(v, "eps")?,
-            tau_max: field_u64(v, "tau_max")?,
-            alpha: field_f64(v, "alpha")?,
-            horizon: field_u64(v, "horizon")?,
-            halving_epochs: opt_field(v, "halving_epochs", |f| {
-                f.as_u64().ok_or("expected integer")
-            })?,
-            total_iterations: field_u64(v, "total_iterations")?,
-            trials: field_u64(v, "trials")?,
-            failures: field_u64(v, "failures")?,
-            measured: field_f64(v, "measured")?,
-            ci_lower: field_f64(v, "ci_lower")?,
-            ci_upper: field_f64(v, "ci_upper")?,
-            bound: field_f64(v, "bound")?,
-            consistent_with_upper_bound: field_bool(v, "consistent_with_upper_bound")?,
-        })
     }
 }
 
-/// The outcome of [`validate`]: the full grid with per-cell verdicts.
-/// Serialises to JSON with the exact-round-trip contract of
-/// [`RunReport`](crate::RunReport).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ValidationReport {
-    /// Oracle kind the grid ran.
-    pub oracle: String,
-    /// Model dimension `d`.
-    pub dim: usize,
-    /// Oracle noise level σ.
-    pub sigma: f64,
-    /// The Eq. 12 slack `ϑ` used for every cell.
-    pub theta: f64,
-    /// Failure-probability target the horizons were derived for.
-    pub target: f64,
-    /// Constants radius.
-    pub radius: f64,
-    /// `‖x₀ − x*‖²` every trial started from.
-    pub x0_dist_sq: f64,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed of the sweep.
-    pub seed: u64,
-    /// The grid, in backend × n × ε order.
-    pub cells: Vec<ValidationCell>,
+crate::json_record! {
+    /// The outcome of [`validate`]: the full grid with per-cell verdicts.
+    /// Serialises to JSON with the exact-round-trip contract of
+    /// [`RunReport`](crate::RunReport), plus the derived `all_consistent`
+    /// headline (written for readers, recomputed from the cells on read).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ValidationReport {
+        /// Oracle kind the grid ran.
+        pub oracle: String,
+        /// Model dimension `d`.
+        pub dim: usize,
+        /// Oracle noise level σ.
+        pub sigma: f64,
+        /// The Eq. 12 slack `ϑ` used for every cell.
+        pub theta: f64,
+        /// Failure-probability target the horizons were derived for.
+        pub target: f64,
+        /// Constants radius.
+        pub radius: f64,
+        /// `‖x₀ − x*‖²` every trial started from.
+        pub x0_dist_sq: f64,
+        /// Trials per cell.
+        pub trials: u64,
+        /// Master seed of the sweep.
+        pub seed: u64,
+        /// The grid, in backend × n × ε order.
+        pub cells: Vec<ValidationCell>,
+    }
+    extra = ValidationReport::write_verdict;
 }
 
 impl ValidationReport {
@@ -497,73 +456,11 @@ impl ValidationReport {
         self.cells.iter().all(|c| c.consistent_with_upper_bound)
     }
 
-    /// Converts into the JSON value tree.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("oracle", Value::Str(self.oracle.clone())),
-            ("dim", Value::U64(self.dim as u64)),
-            ("sigma", Value::f64(self.sigma)),
-            ("theta", Value::f64(self.theta)),
-            ("target", Value::f64(self.target)),
-            ("radius", Value::f64(self.radius)),
-            ("x0_dist_sq", Value::f64(self.x0_dist_sq)),
-            ("trials", Value::U64(self.trials)),
-            ("seed", Value::U64(self.seed)),
-            (
-                "cells",
-                Value::Arr(self.cells.iter().map(ValidationCell::to_value).collect()),
-            ),
-            ("all_consistent", Value::Bool(self.all_consistent())),
-        ])
-    }
-
-    /// Serialises to compact JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    #[must_use]
-    pub fn to_json_pretty(&self) -> String {
-        self.to_value().to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed JSON or missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// Decodes from a JSON value tree. The redundant `all_consistent`
-    /// convenience field is ignored (it is recomputed from the cells).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            oracle: field_str(v, "oracle")?,
-            dim: field_u64(v, "dim")? as usize,
-            sigma: field_f64(v, "sigma")?,
-            theta: field_f64(v, "theta")?,
-            target: field_f64(v, "target")?,
-            radius: field_f64(v, "radius")?,
-            x0_dist_sq: field_f64(v, "x0_dist_sq")?,
-            trials: field_u64(v, "trials")?,
-            seed: field_u64(v, "seed")?,
-            cells: v
-                .get("cells")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| DecodeError::field("cells", "expected array"))?
-                .iter()
-                .map(ValidationCell::from_value)
-                .collect::<Result<_, _>>()?,
-        })
+    fn write_verdict(&self, object: &mut BTreeMap<String, Value>) {
+        object.insert(
+            "all_consistent".to_string(),
+            Value::Bool(self.all_consistent()),
+        );
     }
 }
 

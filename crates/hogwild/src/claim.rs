@@ -9,12 +9,13 @@
 //! Worker `i` draws coin stream `i` of the run's seed and is pinned to core
 //! `i` when the tuning asks for it. It claims against a budget whose claim
 //! 0 has a global index, so epochs number their claims globally. Every
-//! [`STRIDE`] claims it feeds the step-timing sink and checks the stop
-//! flag; the claim that finds the budget exhausted feeds the sink the
-//! remaining steps, so it sees every step. Then it publishes a serving
-//! snapshot when one is attached and due, checks the success region (every
-//! claim on the dense path, every [`STRIDE`] claims on the sparse one),
-//! samples metrics at their own stride, and takes one gradient step.
+//! [`STRIDE`] claims it feeds the step-timing sink; the claim that finds
+//! the budget exhausted feeds the sink the remaining steps, so it sees
+//! every step. It checks the stop flag (every claim on the dense path,
+//! every [`STRIDE`] claims on the sparse one), publishes a serving
+//! snapshot when one is attached and due, checks the success region at the
+//! same cadence as the stop flag, samples metrics at their own stride, and
+//! takes one gradient step.
 //!
 //! A step pairs the gradient path (sparse or dense) with the executor's
 //! apply policy: `StoreWriter` `fetch&add`, the model mutex, the guarded
@@ -32,11 +33,12 @@ use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Claims between two strided hook points. A worker checks the stop flag
-/// and feeds the step-timing sink whenever its global claim index is a
-/// multiple of this, and the sparse path samples the success region there.
-/// Cancellation latency is therefore at most one stride per worker, and the
-/// O(d) success check costs the sparse path O(d / 16) per claim.
+/// Claims between two strided hook points. A worker feeds the step-timing
+/// sink whenever its global claim index is a multiple of this, and the
+/// sparse path checks the stop flag and samples the success region there.
+/// Sparse-path cancellation latency is therefore at most one stride per
+/// worker (dense claims, O(d) each, check every claim), and the O(d)
+/// success check costs the sparse path O(d / 16) per claim.
 pub const STRIDE: u64 = 16;
 
 /// One claim counter and the part of the global claim index it covers.
@@ -89,8 +91,8 @@ pub(crate) trait Apply {
 
 /// One claim's model access and gradient step.
 pub(crate) trait Step {
-    /// Whether the step reads a full view every claim; the success check
-    /// then runs every claim instead of every [`STRIDE`] claims.
+    /// Whether the step reads a full view every claim; the stop and success
+    /// checks then run every claim instead of every [`STRIDE`] claims.
     const DENSE: bool;
     /// Reads what this claim's hooks and gradient see.
     fn read(&mut self) {}
@@ -330,10 +332,10 @@ impl<'a, O: GradientOracle> Kernel<'a, O> {
             let strided = global.is_multiple_of(STRIDE);
             if strided {
                 cur.tick(&ctrl, global);
-                if ctrl.is_stopped() {
-                    self.interrupted.store(true, Ordering::SeqCst);
-                    return false;
-                }
+            }
+            if (S::DENSE || strided) && ctrl.is_stopped() {
+                self.interrupted.store(true, Ordering::SeqCst);
+                return false;
             }
             if let Some((hook, cell, model)) = publish {
                 if hook.publishes_at(global) {

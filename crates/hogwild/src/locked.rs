@@ -10,11 +10,12 @@
 
 use crate::claim::{Budget, Dense, Kernel, Sparse, Step};
 use crate::control::RunControl;
+use crate::snapshot::lock_recovered;
 use crate::tuning::ExecTuning;
 use asgd_oracle::GradientOracle;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Outcome of a locked-baseline run.
@@ -118,7 +119,7 @@ impl<O: GradientOracle> LockedSgd<O> {
             worker.claims(&budget, self.alpha, Locked(&model));
         });
 
-        let final_model = model.into_inner();
+        let final_model = model.into_inner().unwrap_or_else(PoisonError::into_inner);
         let final_dist_sq = asgd_math::vec::l2_dist_sq(&final_model, self.oracle.minimizer());
         LockedSgdReport {
             final_model,
@@ -143,11 +144,11 @@ impl<O: GradientOracle> Step for Sparse<'_, O, Locked<'_>> {
     fn dist_sq(&self, minimizer: &[f64]) -> f64 {
         // Hold the lock only for the distance read: the observer pipeline
         // runs outside the critical section, or it would stall every worker.
-        asgd_math::vec::l2_dist_sq(&self.policy.0.lock(), minimizer)
+        asgd_math::vec::l2_dist_sq(&lock_recovered(self.policy.0), minimizer)
     }
 
     fn apply(&mut self, rng: &mut StdRng) {
-        let mut x = self.policy.0.lock();
+        let mut x = lock_recovered(self.policy.0);
         self.oracle.sample_gradient_sparse(&*x, rng, self.grad);
         for &(j, gj) in self.grad.entries() {
             if gj != 0.0 {
@@ -162,13 +163,13 @@ impl<O: GradientOracle> Step for Dense<'_, O, Locked<'_>> {
     const DENSE: bool = true;
 
     fn dist_sq(&self, minimizer: &[f64]) -> f64 {
-        asgd_math::vec::l2_dist_sq(&self.policy.0.lock(), minimizer)
+        asgd_math::vec::l2_dist_sq(&lock_recovered(self.policy.0), minimizer)
     }
 
     fn apply(&mut self, rng: &mut StdRng) {
         // The whole iteration holds the lock: fully serial semantics (and
         // fully serial performance).
-        let mut x = self.policy.0.lock();
+        let mut x = lock_recovered(self.policy.0);
         self.view.copy_from_slice(&x);
         self.oracle.sample_gradient(self.view, rng, self.grad);
         asgd_math::vec::axpy(&mut x, -self.alpha, self.grad);

@@ -6,168 +6,73 @@
 //! matching the repo-wide report convention so bench artifacts can be
 //! committed and re-checked.
 
-use asgd_driver::json::{self, Value};
-use asgd_driver::report::{field, field_f64, field_str, field_u64, DecodeError};
+use asgd_driver::json_record;
 
-/// The drift event as it actually happened (vs. the scheduled spec).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftOutcome {
-    /// What moved (canonical [`DriftKind::label`](crate::DriftKind::label)).
-    pub kind: String,
-    /// Seconds into the run when it fired.
-    pub at_secs: f64,
-    /// Training iterations reflected when it fired.
-    pub at_iteration: u64,
+json_record! {
+    /// The drift event as it actually happened (vs. the scheduled spec).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DriftOutcome {
+        /// What moved (canonical [`DriftKind::label`](crate::DriftKind::label)).
+        pub kind: String,
+        /// Seconds into the run when it fired.
+        pub at_secs: f64,
+        /// Training iterations reflected when it fired.
+        pub at_iteration: u64,
+    }
 }
 
-/// One ingest run, end to end: fleet → wire → queue → trainer → recovery.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestReport {
-    /// Producers in the fleet.
-    pub producers: usize,
-    /// Backpressure policy label (`block`, `drop-oldest`, `reject`).
-    pub policy: String,
-    /// Ingress queue capacity.
-    pub capacity: usize,
-    /// Observations acknowledged by the server across the fleet.
-    pub observations_sent: u64,
-    /// Submit calls that ended in a client-side error (refused, shed,
-    /// or indeterminate transport failure — never silently retried).
-    pub send_failures: u64,
-    /// Observations accepted into the queue.
-    pub pushed: u64,
-    /// Observations consumed by the trainer.
-    pub consumed: u64,
-    /// Observations evicted under `drop-oldest`.
-    pub dropped: u64,
-    /// Observations refused under `reject` / full `block` timeouts.
-    pub rejected: u64,
-    /// Pops that found the queue empty (prior-fallback gradient steps).
-    pub starved: u64,
-    /// Mean queue depth seen by consumed observations (the delay τ
-    /// analogue of the stream tier).
-    pub lag_mean: f64,
-    /// Maximum queue depth seen by a consumed observation.
-    pub lag_max: u64,
-    /// The drift that fired, if any.
-    pub drift: Option<DriftOutcome>,
-    /// `‖x − θ*‖²` just before drift (last pre-drift recovery sample).
-    pub baseline_dist_sq: f64,
-    /// `‖x − θ*‖²` just after drift (first post-drift recovery sample).
-    pub drift_dist_sq: f64,
-    /// Seconds from drift to the first sample back inside the success
-    /// region (`None`: never recovered within the run).
-    pub time_to_recover_secs: Option<f64>,
-    /// `‖x − θ*‖²` at teardown.
-    pub final_dist_sq: f64,
-    /// Training iterations completed by teardown.
-    pub train_iterations: u64,
-    /// Wall-clock seconds the fleet ran.
-    pub wall_time_secs: f64,
-}
-
-impl IngestReport {
-    /// The report as a JSON value.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("producers", Value::U64(self.producers as u64)),
-            ("policy", Value::Str(self.policy.clone())),
-            ("capacity", Value::U64(self.capacity as u64)),
-            ("observations_sent", Value::U64(self.observations_sent)),
-            ("send_failures", Value::U64(self.send_failures)),
-            ("pushed", Value::U64(self.pushed)),
-            ("consumed", Value::U64(self.consumed)),
-            ("dropped", Value::U64(self.dropped)),
-            ("rejected", Value::U64(self.rejected)),
-            ("starved", Value::U64(self.starved)),
-            ("lag_mean", Value::f64(self.lag_mean)),
-            ("lag_max", Value::U64(self.lag_max)),
-            (
-                "drift",
-                Value::opt(self.drift.as_ref().map(|d| {
-                    Value::obj([
-                        ("kind", Value::Str(d.kind.clone())),
-                        ("at_secs", Value::f64(d.at_secs)),
-                        ("at_iteration", Value::U64(d.at_iteration)),
-                    ])
-                })),
-            ),
-            ("baseline_dist_sq", Value::f64(self.baseline_dist_sq)),
-            ("drift_dist_sq", Value::f64(self.drift_dist_sq)),
-            (
-                "time_to_recover_secs",
-                Value::opt(self.time_to_recover_secs.map(Value::f64)),
-            ),
-            ("final_dist_sq", Value::f64(self.final_dist_sq)),
-            ("train_iterations", Value::U64(self.train_iterations)),
-            ("wall_time_secs", Value::f64(self.wall_time_secs)),
-        ])
-    }
-
-    /// Compact single-line JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Parses a report back from its JSON value.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Field`] on missing or mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        let drift = match field(v, "drift")? {
-            Value::Null => None,
-            d => Some(DriftOutcome {
-                kind: field_str(d, "kind")?,
-                at_secs: field_f64(d, "at_secs")?,
-                at_iteration: field_u64(d, "at_iteration")?,
-            }),
-        };
-        let ttr = match field(v, "time_to_recover_secs")? {
-            Value::Null => None,
-            t => Some(t.as_f64().ok_or(DecodeError::Field {
-                field: "time_to_recover_secs",
-                expected: "expected number",
-            })?),
-        };
-        Ok(Self {
-            producers: field_u64(v, "producers")? as usize,
-            policy: field_str(v, "policy")?,
-            capacity: field_u64(v, "capacity")? as usize,
-            observations_sent: field_u64(v, "observations_sent")?,
-            send_failures: field_u64(v, "send_failures")?,
-            pushed: field_u64(v, "pushed")?,
-            consumed: field_u64(v, "consumed")?,
-            dropped: field_u64(v, "dropped")?,
-            rejected: field_u64(v, "rejected")?,
-            starved: field_u64(v, "starved")?,
-            lag_mean: field_f64(v, "lag_mean")?,
-            lag_max: field_u64(v, "lag_max")?,
-            drift,
-            baseline_dist_sq: field_f64(v, "baseline_dist_sq")?,
-            drift_dist_sq: field_f64(v, "drift_dist_sq")?,
-            time_to_recover_secs: ttr,
-            final_dist_sq: field_f64(v, "final_dist_sq")?,
-            train_iterations: field_u64(v, "train_iterations")?,
-            wall_time_secs: field_f64(v, "wall_time_secs")?,
-        })
-    }
-
-    /// Parses a report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed JSON or missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
+json_record! {
+    /// One ingest run, end to end: fleet → wire → queue → trainer → recovery.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IngestReport {
+        /// Producers in the fleet.
+        pub producers: usize,
+        /// Backpressure policy label (`block`, `drop-oldest`, `reject`).
+        pub policy: String,
+        /// Ingress queue capacity.
+        pub capacity: usize,
+        /// Observations acknowledged by the server across the fleet.
+        pub observations_sent: u64,
+        /// Submit calls that ended in a client-side error (refused, shed,
+        /// or indeterminate transport failure — never silently retried).
+        pub send_failures: u64,
+        /// Observations accepted into the queue.
+        pub pushed: u64,
+        /// Observations consumed by the trainer.
+        pub consumed: u64,
+        /// Observations evicted under `drop-oldest`.
+        pub dropped: u64,
+        /// Observations refused under `reject` / full `block` timeouts.
+        pub rejected: u64,
+        /// Pops that found the queue empty (prior-fallback gradient steps).
+        pub starved: u64,
+        /// Mean queue depth seen by consumed observations (the delay τ
+        /// analogue of the stream tier).
+        pub lag_mean: f64,
+        /// Maximum queue depth seen by a consumed observation.
+        pub lag_max: u64,
+        /// The drift that fired, if any.
+        pub drift: Option<DriftOutcome>,
+        /// `‖x − θ*‖²` just before drift (last pre-drift recovery sample).
+        pub baseline_dist_sq: f64,
+        /// `‖x − θ*‖²` just after drift (first post-drift recovery sample).
+        pub drift_dist_sq: f64,
+        /// Seconds from drift to the first sample back inside the success
+        /// region (`None`: never recovered within the run).
+        pub time_to_recover_secs: Option<f64>,
+        /// `‖x − θ*‖²` at teardown.
+        pub final_dist_sq: f64,
+        /// Training iterations completed by teardown.
+        pub train_iterations: u64,
+        /// Wall-clock seconds the fleet ran.
+        pub wall_time_secs: f64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgd_driver::json::Value;
 
     fn sample(drifted: bool) -> IngestReport {
         IngestReport {

@@ -477,6 +477,16 @@ mod tests {
         assert_eq!(stats[0].name, "ranker");
         assert_eq!(stats[0].dim, 4);
         assert_eq!(stats[1].dim, 6);
+        // Under parallel tests the worker may not have claimed yet; dropping
+        // first would cancel a run that never started.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while registry.lookup(a).unwrap().stats().iterations == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "ranker never started training"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         let report = registry.drop_model("ranker").expect("drops");
         assert!(report.iterations > 0);
         assert_eq!(registry.len(), 1);

@@ -146,6 +146,28 @@ fn reports_survive_a_json_file_round_trip() {
 }
 
 #[test]
+fn diverged_runs_write_reports_that_read_back() {
+    // A step size far past the stability limit drives the model to ±inf and
+    // then NaN, which the report writes as "inf"/"-inf"/"NaN" strings, not
+    // as nulls that no float field can read back.
+    let spec = RunSpec::new(
+        OracleSpec::new("noisy-quadratic", 4).sigma(0.1),
+        BackendKind::Sequential,
+    )
+    .threads(2)
+    .iterations(3_000)
+    .learning_rate(5.0)
+    .x0(vec![1.0; 4]);
+    let report = run_spec(&spec).unwrap();
+    assert!(!report.final_dist_sq.is_finite(), "the run diverges");
+    for text in [report.to_json(), report.to_json_pretty()] {
+        let back = RunReport::from_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        // NaN != NaN, so compare what the decoded report writes.
+        assert_eq!(back.to_json(), report.to_json());
+    }
+}
+
+#[test]
 fn guarded_epoch_reports_guard_statistics() {
     let report = run_spec(
         &base_spec()
